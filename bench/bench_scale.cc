@@ -34,7 +34,7 @@ int servers_for(Workload w, int nodes) {
 HarnessResult run(Workload w, int nodes, bool optimized, double loss,
                   std::uint64_t seed, bool backoff = false,
                   int pool_size = 0, int segments = 1,
-                  ExecMode mode = ExecMode::kClassic, int workers = 0) {
+                  ExecMode mode = ExecMode::kClassic) {
   HarnessOptions o;
   o.workload = w;
   o.nodes = nodes;
@@ -49,7 +49,6 @@ HarnessResult run(Workload w, int nodes, bool optimized, double loss,
   o.retransmit_backoff = backoff;
   o.check_invariants = true;
   o.exec_mode = mode;
-  o.engine_workers = workers;
   return run_harness(o);
 }
 
@@ -60,23 +59,22 @@ int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
 
   JsonlReport report("scale");
-  // Host core count rides on every engine row: the events/wall-s speedup
-  // column is meaningless without knowing how many cores the pool had.
+  // Host core count rides on every engine row: the events/wall-s column
+  // is meaningless without knowing the host it was measured on.
   const int host_cores =
       static_cast<int>(std::thread::hardware_concurrency());
   auto emit = [&report, host_cores](
                   Workload w, int nodes, int servers, bool optimized,
                   double loss, const HarnessResult& r, bool backoff = false,
                   int pool_size = 0, int segments = 1,
-                  ExecMode mode = ExecMode::kClassic, int workers = 0) {
+                  ExecMode mode = ExecMode::kClassic) {
     stats::JsonObject row;
     // Classic rows omit the engine columns entirely so they keep
     // aggregating with baselines recorded before the epoch-2 engines
-    // existed (trend defaults: exec_mode "", hash_epoch 1). Windowed and
-    // concurrent rows hash under epoch 2 and must never pair with them.
+    // existed (trend defaults: exec_mode "", hash_epoch 1). Windowed rows
+    // hash under epoch 2 and must never pair with them.
     if (mode != ExecMode::kClassic) {
       row.set("exec_mode", to_string(mode))
-          .set("workers", workers)
           .set("host_cores", host_cores)
           .set("hash_epoch", chaos::kHashEpoch)
           .set("lookahead_violations", r.lookahead_violations);
@@ -284,53 +282,29 @@ int main(int argc, char** argv) {
   }
 
   // Engine tier: the two-segment star_rpc topology under the epoch-2
-  // window protocol — once windowed (the serial reference, and the hash
-  // every concurrent run must reproduce bit-identically), then concurrent
-  // at 1 and 8 workers (doc/PERFORMANCE.md). The host-independent gates
-  // are exact: trace hash == the windowed row's, lookahead_violations ==
-  // 0. The events/wall-s speedup column is host-dependent — a multi-core
-  // box should show the 8-worker row well ahead of the 1-worker row; a
-  // single-core container serializes the pool and honestly reports ~1x
-  // (host_cores in the JSONL row says which case a reader is looking at).
-  std::printf("\n[epoch-2 engines: star_rpc, %d nodes, 2 segments, "
+  // window protocol (doc/PERFORMANCE.md §5). The host-independent gate is
+  // exact: lookahead_violations == 0. events/wall-s is host-dependent
+  // (host_cores in the JSONL row says which host a reader is looking at).
+  std::printf("\n[epoch-2 engine: star_rpc, %d nodes, 2 segments, "
               "%d host cores]\n", par_nodes, host_cores);
-  std::printf("  %10s %7s %9s %12s %12s %9s %7s %4s\n", "mode", "workers",
-              "sim_ms", "events", "ev/wall_s", "hash", "la_viol", "viol");
-  std::uint64_t windowed_hash = 0;
-  double ev_wall_1w = 0;
-  const struct {
-    ExecMode mode;
-    int workers;
-  } engine_tiers[] = {
-      {ExecMode::kWindowed, 0},
-      {ExecMode::kConcurrent, 1},
-      {ExecMode::kConcurrent, 8},
-  };
-  for (const auto& et : engine_tiers) {
+  std::printf("  %10s %9s %12s %12s %16s %7s %4s\n", "mode", "sim_ms",
+              "events", "ev/wall_s", "hash", "la_viol", "viol");
+  {
     const HarnessResult r =
         run(Workload::kStarRpc, par_nodes, /*optimized=*/true, /*loss=*/0.0,
             /*seed=*/1, /*backoff=*/true, /*pool_size=*/0, /*segments=*/2,
-            et.mode, et.workers);
+            ExecMode::kWindowed);
     emit(Workload::kStarRpc, par_nodes,
          servers_for(Workload::kStarRpc, par_nodes), /*optimized=*/true, 0.0,
-         r, /*backoff=*/true, /*pool_size=*/0, /*segments=*/2, et.mode,
-         et.workers);
-    if (et.mode == ExecMode::kWindowed) windowed_hash = r.trace_hash;
-    if (et.mode == ExecMode::kConcurrent && et.workers == 1) {
-      ev_wall_1w = r.events_per_wall_s;
-    }
-    const bool hash_ok = windowed_hash != 0 && r.trace_hash == windowed_hash;
-    std::printf("  %10s %7d %9.1f %12llu %12.0f %9s %7llu %4llu\n",
-                to_string(et.mode), et.workers, sim::to_ms(r.sim_elapsed),
+         r, /*backoff=*/true, /*pool_size=*/0, /*segments=*/2,
+         ExecMode::kWindowed);
+    std::printf("  %10s %9.1f %12llu %12.0f %016llx %7llu %4llu\n",
+                to_string(ExecMode::kWindowed), sim::to_ms(r.sim_elapsed),
                 static_cast<unsigned long long>(r.events_executed),
-                r.events_per_wall_s, hash_ok ? "=window" : "DIVERGED",
+                r.events_per_wall_s,
+                static_cast<unsigned long long>(r.trace_hash),
                 static_cast<unsigned long long>(r.lookahead_violations),
                 static_cast<unsigned long long>(r.violations));
-    if (et.mode == ExecMode::kConcurrent && et.workers == 8 &&
-        ev_wall_1w > 0) {
-      std::printf("  %10s speedup 8w/1w = %.2fx (host-dependent)\n", "",
-                  r.events_per_wall_s / ev_wall_1w);
-    }
   }
 
   // One lossy row pair at 32 nodes: the optimizations must not change

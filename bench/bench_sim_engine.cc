@@ -11,7 +11,6 @@
 // SBO buffer, a container resize leaking into steady state, ...).
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,7 +21,6 @@
 #include "chaos/runner.h"
 #include "core/network.h"
 #include "sim/event_queue.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "sodal/sodal.h"
 
@@ -192,9 +190,9 @@ class Echo : public sodal::SodalClient {
   }
 };
 
-// ------------------------------------------------- parallel engine
+// ------------------------------------------- determinism + window protocol
 
-// Synthetic trace event exercising every field the hash/fold touches.
+// Synthetic trace event exercising every field the hash touches.
 sim::TraceEvent synthetic_event(std::uint64_t i) {
   sim::TraceEvent e;
   e.at = static_cast<sim::Time>(i * 7);
@@ -211,7 +209,7 @@ sim::TraceEvent synthetic_event(std::uint64_t i) {
 
 // The determinism tax itself: the pinned trace hash is an order-dependent
 // FNV-1a chain — every event serializes behind the previous one on the
-// simulation thread. This is the baseline the commutative fold attacks.
+// simulation thread.
 void BM_TraceHashOrderedFnv(benchmark::State& state) {
   std::vector<sim::TraceEvent> evs;
   for (std::uint64_t i = 0; i < 1000; ++i) evs.push_back(synthetic_event(i));
@@ -224,49 +222,8 @@ void BM_TraceHashOrderedFnv(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceHashOrderedFnv);
 
-// The parallel-reducible replacement: per-event fingerprints combined
-// with (+, ^, count). Same per-event cost class, but partial folds merge
-// in any order, so workers can compute them off the simulation thread
-// (doc/PERFORMANCE.md, parallel-engine section).
-void BM_TraceFoldCommutative(benchmark::State& state) {
-  std::vector<sim::TraceEvent> evs;
-  for (std::uint64_t i = 0; i < 1000; ++i) evs.push_back(synthetic_event(i));
-  for (auto _ : state) {
-    sim::TraceFold fold;
-    for (const auto& e : evs) fold.add(e);
-    benchmark::DoNotOptimize(fold.digest());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_TraceFoldCommutative);
-
-// Observer offload path: events stream through the chunked AsyncTraceSink
-// (in-order consumer + Arg(0) fold workers) instead of running inline.
-// Measures producer-side cost per event including back-pressure.
-void BM_AsyncTraceSinkOffload(benchmark::State& state) {
-  const int fold_workers = static_cast<int>(state.range(0));
-  std::vector<sim::TraceEvent> evs;
-  for (std::uint64_t i = 0; i < 1000; ++i) evs.push_back(synthetic_event(i));
-  for (auto _ : state) {
-    std::uint64_t seen = 0;
-    sim::AsyncTraceSink::Options o;
-    o.chunk_events = 256;
-    o.fold_workers = fold_workers;
-    sim::AsyncTraceSink sink(
-        [&seen](const sim::TraceEvent&) { ++seen; }, o);
-    for (const auto& e : evs) sink.on_event(e);
-    sink.flush();
-    benchmark::DoNotOptimize(seen);
-    benchmark::DoNotOptimize(sink.combined_fold().digest());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_AsyncTraceSinkOffload)->Arg(0)->Arg(2);
-
-// Partitioned wheels walked by the serial window protocol (the epoch-2
-// reference): one thread executes every partition's window in ascending
-// partition order. This is the baseline the concurrent executor below
-// must beat on a multicore host.
+// Partitioned wheels walked by the epoch-2 window protocol: one thread
+// executes every partition's window in ascending partition order.
 void BM_PartitionedMergeSerial(benchmark::State& state) {
   constexpr int kParts = 8, kPerPart = 400;
   for (auto _ : state) {
@@ -286,71 +243,6 @@ void BM_PartitionedMergeSerial(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kParts * kPerPart);
 }
 BENCHMARK(BM_PartitionedMergeSerial);
-
-// True concurrent execution: Arg(N) workers race over each window's
-// active partitions and execute their events in parallel; cross-partition
-// work funnels through the staging queues merged at the window barrier.
-// Events, RNG draws, and traces are bit-identical to the serial window
-// walk; only wall clock may differ, and the speedup is host-dependent
-// (~1x on a single-core container). The sink is atomic because callbacks
-// from distinct partitions genuinely run on distinct threads here.
-void BM_ParallelEngineRun(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  constexpr int kParts = 8, kPerPart = 400;
-  for (auto _ : state) {
-    sim::Simulator s;
-    s.enable_partitions(kParts);
-    s.set_lookahead(64);
-    std::atomic<int> sink{0};
-    for (int p = 0; p < kParts; ++p) {
-      sim::ScopedPartition sp(s, p);
-      for (int i = 0; i < kPerPart; ++i) {
-        s.after(1 + (i * 37) % 5000,
-                [&sink] { sink.fetch_add(1, std::memory_order_relaxed); });
-      }
-    }
-    sim::ParallelEngine engine(s, sim::ParallelConfig{workers, 0});
-    engine.run();
-    benchmark::DoNotOptimize(sink.load());
-    if (s.lookahead_violations() != 0) {
-      state.SkipWithError("lookahead violation in benchmark workload");
-      return;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kParts * kPerPart);
-}
-BENCHMARK(BM_ParallelEngineRun)->Arg(1)->Arg(2)->Arg(4);
-
-// Window-size x workers sweep for the concurrent executor. The window
-// (lookahead) sets the granularity of the parallelism: tiny windows mean
-// frequent barriers and little work per partition per window (barrier
-// overhead dominates); huge windows amortize the barrier but batch fewer,
-// larger window rounds. Args are {lookahead_us, workers}; the interesting
-// read is events/s across a row of constant workers.
-void BM_ConcurrentWindowSweep(benchmark::State& state) {
-  const auto window = static_cast<sim::Duration>(state.range(0));
-  const int workers = static_cast<int>(state.range(1));
-  constexpr int kParts = 8, kPerPart = 400;
-  for (auto _ : state) {
-    sim::Simulator s;
-    s.enable_partitions(kParts);
-    s.set_lookahead(window);
-    std::atomic<int> sink{0};
-    for (int p = 0; p < kParts; ++p) {
-      sim::ScopedPartition sp(s, p);
-      for (int i = 0; i < kPerPart; ++i) {
-        s.after(1 + (i * 37) % 5000,
-                [&sink] { sink.fetch_add(1, std::memory_order_relaxed); });
-      }
-    }
-    sim::ParallelEngine engine(s, sim::ParallelConfig{workers, 0});
-    engine.run();
-    benchmark::DoNotOptimize(sink.load());
-  }
-  state.SetItemsProcessed(state.iterations() * kParts * kPerPart);
-}
-BENCHMARK(BM_ConcurrentWindowSweep)
-    ->ArgsProduct({{16, 128, 1024}, {1, 2, 4}});
 
 void BM_NetworkSetupTeardown(benchmark::State& state) {
   for (auto _ : state) {

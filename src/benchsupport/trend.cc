@@ -102,9 +102,9 @@ void aggregate_streams(TrendReport& r) {
 
 void aggregate_scale(TrendReport& r) {
   // key: workload | nodes | loss | retransmit_backoff | pool_size |
-  //      segments | engine | workers | epoch
+  //      segments | engine | epoch
   std::map<std::tuple<std::string, int, double, bool, int, int, std::string,
-                      int, int>,
+                      int>,
            ScaleTrend>
       pairs;
   for (const TrendRow& row : r.rows) {
@@ -116,7 +116,7 @@ void aggregate_scale(TrendReport& r) {
                          row.num("retransmit_backoff").value_or(0) != 0;
     const int pool = static_cast<int>(row.num("pool_size").value_or(0));
     const int segments = static_cast<int>(row.num("segments").value_or(1));
-    // "exec_mode" (classic/windowed/concurrent) supersedes the old
+    // "exec_mode" (classic/windowed) supersedes the old
     // "engine" column; fall back so historical rows still parse. Rows
     // older than both columns aggregate under "" — the same bucket as
     // explicit engine=serial via scale_label's empty suffix, but kept
@@ -124,12 +124,10 @@ void aggregate_scale(TrendReport& r) {
     // never half-matches.
     std::string engine = row.str("exec_mode");
     if (engine.empty()) engine = row.str("engine");
-    const int workers = static_cast<int>(row.num("workers").value_or(0));
     // Rows predating the epoch-2 hash break carry no hash_epoch column.
     const int epoch = static_cast<int>(row.num("hash_epoch").value_or(1));
     ScaleTrend& t =
-        pairs[{workload, nodes, loss, backoff, pool, segments, engine,
-               workers, epoch}];
+        pairs[{workload, nodes, loss, backoff, pool, segments, engine, epoch}];
     t.workload = workload;
     t.nodes = nodes;
     t.loss = loss;
@@ -137,7 +135,6 @@ void aggregate_scale(TrendReport& r) {
     t.pool_size = pool;
     t.segments = segments;
     t.engine = engine;
-    t.workers = workers;
     t.epoch = epoch;
     const bool opt = row.str("optimized") == "true" ||
                      row.num("optimized").value_or(0) != 0;
@@ -179,17 +176,12 @@ void aggregate_scale(TrendReport& r) {
 
 std::string scale_label(const std::string& workload, bool backoff,
                         int pool_size, int segments = 1,
-                        const std::string& engine = "", int workers = 0,
-                        int epoch = 1) {
+                        const std::string& engine = "", int epoch = 1) {
   std::string label = workload;
   if (backoff) label += "+bkoff";
   if (pool_size > 0) label += "+pool" + std::to_string(pool_size);
   if (segments > 1) label += "+seg" + std::to_string(segments);
-  if (engine == "parallel" || engine == "concurrent") {
-    label += "+par" + std::to_string(workers) + "w";
-  } else if (engine == "windowed") {
-    label += "+win";
-  }
+  if (engine == "windowed") label += "+win";
   // Epoch-2 rows hash under a different RNG contract; make that visible
   // so an e2 row is never eyeballed against an unmarked epoch-1 row.
   if (epoch > 1) label += "@e" + std::to_string(epoch);
@@ -277,8 +269,7 @@ std::string format_trend_report(const TrendReport& r) {
     out << buf;
     for (const auto& t : r.scale) {
       const std::string label = scale_label(
-          t.workload, t.backoff, t.pool_size, t.segments, t.engine,
-          t.workers, t.epoch);
+          t.workload, t.backoff, t.pool_size, t.segments, t.engine, t.epoch);
       std::snprintf(
           buf, sizeof buf,
           "  %-18s %5d %4.0f%% %9.0f->%-7.0f %2.0f%% %9.0f->%-7.0f %2.0f%% "
@@ -304,7 +295,7 @@ std::string format_trend_report(const TrendReport& r) {
         if (t.opt_ev_wall <= 0) continue;
         const std::string label = scale_label(
             t.workload, t.backoff, t.pool_size, t.segments, t.engine,
-            t.workers, t.epoch);
+            t.epoch);
         std::snprintf(buf, sizeof buf, "  %-18s %5d %14.0f %12.0f\n",
                       label.c_str(), t.nodes, t.opt_ev_wall, t.opt_rss_kb);
         out << buf;
@@ -327,7 +318,7 @@ std::string format_trend_report(const TrendReport& r) {
         if (t.base_ops_max <= 0 && t.opt_ops_max <= 0) continue;
         const std::string label = scale_label(
             t.workload, t.backoff, t.pool_size, t.segments, t.engine,
-            t.workers, t.epoch);
+            t.epoch);
         std::snprintf(buf, sizeof buf,
                       "  %-18s %5d %7.0f->%-8.0f %6.0f/%-6.0f %6.0f/%-6.0f "
                       "%4.0f->%-5.0f\n",
@@ -403,17 +394,17 @@ std::string format_trend_diff(const TrendReport& before,
   {
     std::map<
         std::tuple<std::string, int, double, bool, int, int, std::string,
-                   int, int>,
+                   int>,
         std::pair<const ScaleTrend*, const ScaleTrend*>>
         merged;
     for (const auto& t : before.scale) {
       merged[{t.workload, t.nodes, t.loss, t.backoff, t.pool_size,
-              t.segments, t.engine, t.workers, t.epoch}]
+              t.segments, t.engine, t.epoch}]
           .first = &t;
     }
     for (const auto& t : after.scale) {
       merged[{t.workload, t.nodes, t.loss, t.backoff, t.pool_size,
-              t.segments, t.engine, t.workers, t.epoch}]
+              t.segments, t.engine, t.epoch}]
           .second = &t;
     }
     if (!merged.empty()) {
@@ -424,10 +415,9 @@ std::string format_trend_diff(const TrendReport& before,
       out << buf;
       for (const auto& [key, ba] : merged) {
         const auto& [workload, nodes, loss, backoff, pool, segments, engine,
-                     workers, epoch] = key;
-        const std::string label = scale_label(workload, backoff, pool,
-                                              segments, engine, workers,
-                                              epoch);
+                     epoch] = key;
+        const std::string label =
+            scale_label(workload, backoff, pool, segments, engine, epoch);
         if (!ba.first || !ba.second) {
           std::snprintf(buf, sizeof buf, "  %-18s %5d %4.0f%% %s\n",
                         label.c_str(), nodes, loss * 100,

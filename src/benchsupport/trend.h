@@ -41,12 +41,10 @@ struct ScaleTrend {
   // merge with the single-segment rows they're compared against.
   int segments = 1;
   // Simulation engine ("" / "serial" / "classic" = the classic serial
-  // loop, "windowed" = the serial epoch-2 window reference, "parallel" /
-  // "concurrent" = sim::ParallelEngine) and its worker count. Part of
-  // the aggregation key so engine rows diff against their own baselines,
+  // loop, "windowed" = the epoch-2 window protocol). Part of the
+  // aggregation key so engine rows diff against their own baselines,
   // never against other engines on the same topology.
   std::string engine;
-  int workers = 0;
   // Pinned-hash epoch the row was recorded under (chaos::kHashEpoch;
   // rows predating the hash_epoch column aggregate as epoch 1). Part of
   // the aggregation key: the epoch-2 partition-local RNG streams changed

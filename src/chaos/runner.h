@@ -50,39 +50,17 @@ struct RunStats {
 /// chaos/bench JSONL rows carry this number.
 inline constexpr int kHashEpoch = 2;
 
-/// Which engine drives the run. Both execute the identical epoch-2
-/// window protocol over the identical window boundaries and produce
-/// bit-identical event, RNG, and trace order (proven by
-/// tests/test_parallel_sim.cc and the pinned hashes in
-/// tests/test_determinism.cc). kSerial walks the windows one partition
-/// at a time and is the reference; kParallel executes each window's
-/// partitions concurrently on a worker pool and moves the observer path
-/// onto an async in-order pipeline (sim::ParallelEngine /
-/// sim::AsyncTraceSink).
-enum class EngineMode { kSerial, kParallel };
-
 struct RunOptions {
   /// Retain the full event vector in RunResult (single-seed debugging;
   /// sweeps leave it off and rely on the streaming observer).
   bool keep_events = false;
-  EngineMode engine = EngineMode::kSerial;
-  /// Parallel-engine worker pool size (prefetch + fold); 0 = hardware.
-  int workers = 0;
-  /// Replace the serial FNV trace chain with the commutative
-  /// sim::TraceFold digest (parallel-reducible, order-checked against the
-  /// serial engine by compare_engines). trace_hash is 0 in this mode.
-  bool sampled_fold = false;
 };
 
 struct RunResult {
   std::uint64_t seed = 0;
   std::uint64_t trace_hash = 0;
-  /// sim::TraceFold digest over the same ten fields (set when
-  /// sampled_fold, or always under the parallel engine's fold workers).
-  std::uint64_t sampled_digest = 0;
   /// Cross-partition schedules closer than the declared lookahead window
-  /// (counted identically by both engines; stays 0 for every shipped
-  /// topology).
+  /// (stays 0 for every shipped topology).
   std::uint64_t lookahead_violations = 0;
   RunStats stats;
   std::vector<Violation> violations;
@@ -105,8 +83,7 @@ struct SweepOptions {
   int seeds = 100;
   int jobs = 0;           // 0 = hardware_concurrency
   int max_failures = 16;  // stop launching new runs once collected
-  /// Per-run options (engine, workers, sampled fold) applied to every
-  /// seed in the sweep.
+  /// Per-run options applied to every seed in the sweep.
   RunOptions run;
   /// Called (serialized) as each failure surfaces — lets the CLI stream.
   std::function<void(const RunResult&)> on_failure;
@@ -124,29 +101,6 @@ struct SweepResult {
 SweepResult sweep_scenario(const Scenario& scenario,
                            const SweepOptions& options,
                            const InvariantFactory& extra = nullptr);
-
-/// Differential serial-vs-parallel check for one (scenario, seed). Fast
-/// pass: both engines run in sampled-fold mode and their commutative
-/// digests are compared. On mismatch a replay pass reruns both with the
-/// full ordered FNV fold and retained events to localize the first
-/// divergent event index — the sampled mode's safety net.
-struct EngineComparison {
-  std::uint64_t serial_digest = 0;
-  std::uint64_t parallel_digest = 0;
-  bool digests_match = false;
-  std::uint64_t parallel_lookahead_violations = 0;
-  bool replayed = false;  // digest mismatch triggered the full-fold replay
-  std::uint64_t serial_hash = 0;    // replay pass only
-  std::uint64_t parallel_hash = 0;  // replay pass only
-  /// Index of the first differing trace event (replay pass; SIZE_MAX when
-  /// the replayed streams agree after all — a fold collision).
-  std::size_t first_divergence = static_cast<std::size_t>(-1);
-  bool ok() const { return digests_match; }
-};
-
-EngineComparison compare_engines(const Scenario& scenario, std::uint64_t seed,
-                                 int workers = 0,
-                                 const InvariantFactory& extra = nullptr);
 
 /// Greedily remove faults from a failing (scenario, seed) while the run
 /// keeps violating at least one of the originally-violated invariants.

@@ -125,15 +125,6 @@ class UniqueIdSource {
     return p & ~(net::kReservedBit | net::kWellKnownBit) & net::kPatternMask;
   }
 
-  /// Pre-size the per-serial table for serials [0, count). Topology
-  /// constructors (Network/Internetwork::add_node) call this at setup so
-  /// runtime next() calls from concurrently executing partitions touch
-  /// disjoint, already-allocated slots — next() growing the table mid-run
-  /// would be a data race.
-  void reserve_serials(std::size_t count) {
-    if (count > seq_.size()) seq_.resize(count, 1);
-  }
-
  private:
   std::vector<std::uint32_t> seq_;  // next sequence value per serial
 };

@@ -32,9 +32,6 @@ class Network {
     // client events all live on its wheel.
     sim::ScopedPartition guard(
         sim_, static_cast<int>(mid) % sim_.partition_count());
-    // Pre-size the per-serial pattern sequences here (setup time) so
-    // runtime get_unique_id calls never grow the table concurrently.
-    uids_.reserve_serials(static_cast<std::size_t>(mid) + 1);
     nodes_.push_back(
         std::make_unique<Node>(sim_, bus_, mid, std::move(config), uids_));
     return *nodes_.back();

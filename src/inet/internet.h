@@ -80,9 +80,6 @@ class Internet {
     // cross-partition edge is then a bus delivery or a gateway hold,
     // both bounded below by lookahead().
     sim::ScopedPartition guard(sim_, segment % sim_.partition_count());
-    // Pre-size the per-serial pattern sequences here (setup time) so
-    // runtime get_unique_id calls never grow the table concurrently.
-    uids_.reserve_serials(static_cast<std::size_t>(mid) + 1);
     nodes_.push_back(
         std::make_unique<Node>(sim_, bus, mid, std::move(config), uids_));
     node_index_[mid] = nodes_.size() - 1;

@@ -12,20 +12,15 @@
 // RNG affinity (hash epoch 2): in a partitioned simulation every fault
 // draw for a delivery is taken from the *receiver's* partition stream,
 // inside a bare arrival event scheduled at +wire on the receiver's wheel.
-// The sender's stream is never consumed by another node's luck, so
-// partitions can execute concurrently without racing on a shared
-// generator (doc/PERFORMANCE.md §5). Unpartitioned simulations keep the
-// historical epoch-1 send-side draw order bit-for-bit. Consequence of the
-// epoch-2 shift: loss/CRC-drop trace records and fault-filter predicates
-// observe the *arrival* time of the frame, not the send time.
-//
-// Filters and interest predicates may be evaluated concurrently from
-// several partition workers; they must be pure functions of their
-// arguments (every in-tree filter is).
+// The sender's stream is never consumed by another node's luck, so each
+// partition's draws are independent of the others' (doc/PERFORMANCE.md
+// §5). Unpartitioned simulations keep the historical epoch-1 send-side
+// draw order bit-for-bit. Consequence of the epoch-2 shift: loss/CRC-drop
+// trace records and fault-filter predicates observe the *arrival* time of
+// the frame, not the send time.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -161,8 +156,8 @@ class Bus {
         static_cast<sim::Duration>(size) * config_.us_per_byte;
     sim_.trace().record(sim_.now(), sim::TraceCategory::kPacketSent,
                         frame.src, stamp(trace_payload(frame)));
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(size, std::memory_order_relaxed);
+    ++frames_sent_;
+    bytes_sent_ += size;
     if (auto* m = metrics_for(frame.src)) {
       m->add(stats::Counter::kFramesSent);
       m->add(stats::Counter::kBytesSent, size);
@@ -180,7 +175,7 @@ class Bus {
         sim_.trace().record(
             sim_.now(), sim::TraceCategory::kPacketDropped, mid,
             stamp(trace_payload(frame).with_status(sim::TraceStatus::kLost)));
-        frames_lost_.fetch_add(1, std::memory_order_relaxed);
+        ++frames_lost_;
         if (auto* m = metrics_for(mid)) m->add(stats::Counter::kFramesDropped);
         return;
       }
@@ -205,7 +200,7 @@ class Bus {
         // streams' determinism when toggled together with jitter).
         dup_lag = sim_.rng().next_range(0, std::max<sim::Duration>(
                                                config_.delivery_jitter, 0));
-        frames_duplicated_.fetch_add(1, std::memory_order_relaxed);
+        ++frames_duplicated_;
       }
       schedule_delivery(mid, fref, wire + jitter + shaped, false, damaged);
       if (duplicated) {
@@ -226,7 +221,7 @@ class Bus {
       for (const auto& [mid, station] : stations_) {
         if (mid == frame.src) continue;
         if (station.interest && !station.interest(frame)) {
-          frames_filtered_.fetch_add(1, std::memory_order_relaxed);
+          ++frames_filtered_;
           continue;  // NIC hardware filter: frame never reaches the kernel
         }
         launch(mid);
@@ -237,27 +232,12 @@ class Bus {
   }
 
   // --- statistics (used by tests and the bench harness) ---
-  // Counters are atomics because partitioned arrival events bump them
-  // from concurrent workers; read them between windows (or after run()),
-  // where they are exact.
-  std::size_t frames_sent() const {
-    return frames_sent_.load(std::memory_order_relaxed);
-  }
-  std::size_t bytes_sent() const {
-    return bytes_sent_.load(std::memory_order_relaxed);
-  }
-  std::size_t frames_lost() const {
-    return frames_lost_.load(std::memory_order_relaxed);
-  }
-  std::size_t frames_corrupted() const {
-    return frames_corrupted_.load(std::memory_order_relaxed);
-  }
-  std::size_t frames_duplicated() const {
-    return frames_duplicated_.load(std::memory_order_relaxed);
-  }
-  std::size_t frames_filtered() const {
-    return frames_filtered_.load(std::memory_order_relaxed);
-  }
+  std::size_t frames_sent() const { return frames_sent_; }
+  std::size_t bytes_sent() const { return bytes_sent_; }
+  std::size_t frames_lost() const { return frames_lost_; }
+  std::size_t frames_corrupted() const { return frames_corrupted_; }
+  std::size_t frames_duplicated() const { return frames_duplicated_; }
+  std::size_t frames_filtered() const { return frames_filtered_; }
   void reset_stats() {
     frames_sent_ = 0;
     bytes_sent_ = 0;
@@ -332,7 +312,7 @@ class Bus {
       for (const auto& [mid, station] : stations_) {
         if (mid == f->src) continue;
         if (station.interest && !station.interest(*f)) {
-          frames_filtered_.fetch_add(1, std::memory_order_relaxed);
+          ++frames_filtered_;
           continue;
         }
         dispatch(station, f);
@@ -354,8 +334,8 @@ class Bus {
   bool station_attached(Mid mid) const { return stations_.count(mid) > 0; }
   sim::Simulator& simulator() { return sim_; }
   void count_sent(std::size_t bytes) {
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
+    ++frames_sent_;
+    bytes_sent_ += bytes;
   }
 
   /// Registry for an attached station, nullptr when not attached (e.g. a
@@ -408,10 +388,9 @@ class Bus {
   /// Epoch-2 delivery path: schedule a bare arrival event at +wire on the
   /// receiver's wheel. Every fault draw for this delivery happens inside
   /// that event, from the receiver partition's stream — the sender's
-  /// stream is untouched, so senders in other partitions can execute
-  /// concurrently. The wire time is at least the bus propagation, which
-  /// bounds the partitioned engine's lookahead — cross-partition traffic
-  /// never schedules inside the current window.
+  /// stream is untouched by the receiver's luck. The wire time is at least
+  /// the bus propagation, which bounds the partitioned engine's lookahead
+  /// — cross-partition traffic never schedules inside the current window.
   void schedule_arrival(Mid mid, const FrameRef& fref, sim::Duration wire) {
     sim::ScopedPartition guard(sim_, delivery_partition(mid));
     sim_.after(wire, [this, mid, f = fref]() { on_arrival(mid, f); });
@@ -430,7 +409,7 @@ class Bus {
       sim_.trace().record(
           sim_.now(), sim::TraceCategory::kPacketDropped, mid,
           stamp(trace_payload(frame).with_status(sim::TraceStatus::kLost)));
-      frames_lost_.fetch_add(1, std::memory_order_relaxed);
+      ++frames_lost_;
       if (auto* m = metrics_for(mid)) m->add(stats::Counter::kFramesDropped);
       return;
     }
@@ -455,7 +434,7 @@ class Bus {
       // streams' determinism when toggled together with jitter).
       dup_lag = sim_.rng().next_range(
           0, std::max<sim::Duration>(config_.delivery_jitter, 0));
-      frames_duplicated_.fetch_add(1, std::memory_order_relaxed);
+      ++frames_duplicated_;
     }
     const sim::Duration extra = jitter + shaped;
     if (extra == 0) {
@@ -509,7 +488,7 @@ class Bus {
       sim_.trace().record(
           sim_.now(), sim::TraceCategory::kPacketDropped, mid,
           stamp(trace_payload(*f).with_status(sim::TraceStatus::kCrcDropped)));
-      frames_corrupted_.fetch_add(1, std::memory_order_relaxed);
+      ++frames_corrupted_;
       if (auto* m = it->second.metrics) {
         m->add(stats::Counter::kFramesDropped);
         m->add(stats::Counter::kFramesCorrupted);
@@ -534,12 +513,12 @@ class Bus {
   DupFilter dup_filter_;
   DelayFilter delay_filter_;
   CorruptFilter corrupt_filter_;
-  std::atomic<std::size_t> frames_sent_{0};
-  std::atomic<std::size_t> bytes_sent_{0};
-  std::atomic<std::size_t> frames_lost_{0};
-  std::atomic<std::size_t> frames_corrupted_{0};
-  std::atomic<std::size_t> frames_duplicated_{0};
-  std::atomic<std::size_t> frames_filtered_{0};
+  std::size_t frames_sent_ = 0;
+  std::size_t bytes_sent_ = 0;
+  std::size_t frames_lost_ = 0;
+  std::size_t frames_corrupted_ = 0;
+  std::size_t frames_duplicated_ = 0;
+  std::size_t frames_filtered_ = 0;
 };
 
 }  // namespace soda::net

@@ -17,22 +17,17 @@
 // allocated and reference-counted by the pool handle plus every live
 // FrameRef; whichever dies last frees it.
 //
-// Thread model (epoch 2): refs to one frame are created and dropped from
-// different partition workers inside a concurrent execution window, so
-// refcounts and the owner count are atomics, and the free list / slab
-// growth sit behind a tiny spinlock. The slab itself is a fixed array of
-// chunk pointers — growth installs a new chunk but never moves existing
-// nodes and never reallocates the pointer table, so a reader
-// dereferencing an established FrameRef is untouched by concurrent
-// make() calls (std::deque could not promise that: its block map
-// reallocates on growth).
+// Storage: nodes live in fixed-size chunks that never move once
+// allocated, so a `const Frame&` taken from a FrameRef stays valid while
+// a delivery callback sends (and grows the slab). A pool and its refs
+// belong to one Simulator and are touched by one thread, so counts are
+// plain integers.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <stdexcept>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "net/packet.h"
 
@@ -45,34 +40,27 @@ struct FramePoolCore {
   static constexpr int kChunkBits = 8;
   static constexpr std::uint32_t kChunkNodes = 1u << kChunkBits;  // 256
   static constexpr std::uint32_t kChunkMask = kChunkNodes - 1;
-  static constexpr std::size_t kMaxChunks = 8192;  // 2M concurrent frames
 
   struct Node {
     Frame frame;
-    std::atomic<std::uint32_t> refs{0};
+    std::uint32_t refs = 0;
     std::uint32_t next_free = kNil;
   };
 
-  std::array<Node*, kMaxChunks> chunks{};
-  std::uint32_t size = 0;          // guarded by lock
-  std::uint32_t free_head = kNil;  // guarded by lock
+  std::vector<std::unique_ptr<Node[]>> chunks;
+  std::uint32_t size = 0;
+  std::uint32_t free_head = kNil;
   // 1 for the FramePool handle + 1 per live FrameRef.
-  std::atomic<std::uint64_t> owners{1};
-  std::atomic_flag lock_flag = ATOMIC_FLAG_INIT;
-
-  ~FramePoolCore() {
-    for (Node* chunk : chunks) delete[] chunk;
-  }
+  std::uint64_t owners = 1;
 
   Node& node(std::uint32_t i) {
     return chunks[i >> kChunkBits][i & kChunkMask];
   }
 
-  void lock() {
-    while (lock_flag.test_and_set(std::memory_order_acquire)) {
-    }
+  /// Drop one owner; frees the core when it was the last.
+  static void release_owner(FramePoolCore* core) {
+    if (--core->owners == 0) delete core;
   }
-  void unlock() { lock_flag.clear(std::memory_order_release); }
 };
 
 }  // namespace detail
@@ -85,8 +73,8 @@ class FrameRef {
   FrameRef() = default;
   FrameRef(const FrameRef& o) : core_(o.core_), idx_(o.idx_) {
     if (core_ != nullptr) {
-      core_->node(idx_).refs.fetch_add(1, std::memory_order_relaxed);
-      core_->owners.fetch_add(1, std::memory_order_relaxed);
+      ++core_->node(idx_).refs;
+      ++core_->owners;
     }
   }
   FrameRef(FrameRef&& o) noexcept : core_(o.core_), idx_(o.idx_) {
@@ -128,22 +116,18 @@ class FrameRef {
   void release() {
     if (core_ == nullptr) return;
     auto& node = core_->node(idx_);
-    if (node.refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Sole owner now: reset sections outside the lock (nobody else can
-      // reach this node), keeping the payload vector's buffer so a reused
-      // node can often take the next frame without reallocating.
+    if (--node.refs == 0) {
+      // Last ref: reset the sections but keep the payload vector's buffer,
+      // so a reused node can often take the next frame without
+      // reallocating.
       std::vector<std::byte> data = std::move(node.frame.data);
       data.clear();
       node.frame = Frame{};
       node.frame.data = std::move(data);
-      core_->lock();
       node.next_free = core_->free_head;
       core_->free_head = idx_;
-      core_->unlock();
     }
-    if (core_->owners.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      delete core_;
-    }
+    detail::FramePoolCore::release_owner(core_);
   }
 
   detail::FramePoolCore* core_ = nullptr;
@@ -153,37 +137,24 @@ class FrameRef {
 class FramePool {
  public:
   FramePool() : core_(new detail::FramePoolCore) {}
-  ~FramePool() {
-    if (core_->owners.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      delete core_;
-    }
-  }
+  ~FramePool() { detail::FramePoolCore::release_owner(core_); }
   FramePool(const FramePool&) = delete;
   FramePool& operator=(const FramePool&) = delete;
 
   /// Move `f` into a pooled node and return the first ref to it.
   FrameRef make(Frame&& f) {
     detail::FramePoolCore& core = *core_;
-    core.lock();
     std::uint32_t idx;
     if (core.free_head != detail::FramePoolCore::kNil) {
       idx = core.free_head;
       core.free_head = core.node(idx).next_free;
     } else {
-      idx = core.size;
-      const auto chunk = static_cast<std::size_t>(
-          idx >> detail::FramePoolCore::kChunkBits);
-      if (chunk >= detail::FramePoolCore::kMaxChunks) {
-        core.unlock();
-        throw std::length_error("FramePool slab exhausted");
+      idx = core.size++;
+      if ((idx & detail::FramePoolCore::kChunkMask) == 0) {
+        core.chunks.push_back(std::make_unique<detail::FramePoolCore::Node[]>(
+            detail::FramePoolCore::kChunkNodes));
       }
-      if (core.chunks[chunk] == nullptr) {
-        core.chunks[chunk] =
-            new detail::FramePoolCore::Node[detail::FramePoolCore::kChunkNodes];
-      }
-      ++core.size;
     }
-    core.unlock();
     auto& node = core.node(idx);
     // Preserve the recycled node's payload capacity when the incoming
     // frame has no payload of its own (the common control-frame case).
@@ -195,18 +166,13 @@ class FramePool {
     } else {
       node.frame = std::move(f);
     }
-    node.refs.store(1, std::memory_order_relaxed);
-    core.owners.fetch_add(1, std::memory_order_relaxed);
+    node.refs = 1;
+    ++core.owners;
     return FrameRef(core_, idx);
   }
 
   /// Nodes ever created (slab high-water mark) — bench/telemetry hook.
-  std::size_t slab_nodes() const {
-    core_->lock();
-    const std::size_t n = core_->size;
-    core_->unlock();
-    return n;
-  }
+  std::size_t slab_nodes() const { return core_->size; }
 
  private:
   detail::FramePoolCore* core_;

@@ -1,7 +1,6 @@
 #include "scale/harness.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -15,7 +14,6 @@
 #include "chaos/runner.h"
 #include "core/network.h"
 #include "inet/internet.h"
-#include "sim/parallel.h"
 #include "sodal/nameserver.h"
 #include "sodal/sodal.h"
 
@@ -50,19 +48,14 @@ std::uint64_t read_peak_rss_kb() {
 #endif
 }
 
-/// Shared scoreboard the load clients report into. Under kConcurrent,
-/// clients on distinct partitions bump these from distinct worker threads
-/// inside one window, so the shared counters are atomics (relaxed: the
-/// engine's window barrier orders them before the driver loop reads).
-/// per_client entries are each written by exactly one client — distinct
-/// objects, no race.
+/// Shared scoreboard the load clients report into.
 struct Tally {
-  std::atomic<std::uint64_t> ops_done{0};
-  std::atomic<int> finished{0};
+  std::uint64_t ops_done = 0;
+  int finished = 0;
   std::vector<std::uint64_t> per_client;  // fairness (contention workload)
 
-  void op_done() { ops_done.fetch_add(1, std::memory_order_relaxed); }
-  void finish() { finished.fetch_add(1, std::memory_order_relaxed); }
+  void op_done() { ++ops_done; }
+  void finish() { ++finished; }
 };
 
 class ScaleEchoServer final : public sodal::SodalClient {
@@ -272,7 +265,6 @@ const char* to_string(ExecMode m) {
   switch (m) {
     case ExecMode::kClassic: return "classic";
     case ExecMode::kWindowed: return "windowed";
-    case ExecMode::kConcurrent: return "concurrent";
   }
   return "unknown";
 }
@@ -327,10 +319,7 @@ HarnessResult run_harness(const HarnessOptions& opts) {
   // Partition the event queue before the first node schedules anything:
   // one wheel per segment, or per node on a single bus (every cross-
   // partition edge is then a bus delivery or gateway hold, both >= the
-  // declared lookahead, so the violation counter stays 0). kWindowed and
-  // kConcurrent share this setup — identical partitions, lookahead, and
-  // slice deadlines give identical window boundaries, which is what makes
-  // their trace hashes bit-identical.
+  // declared lookahead, so the violation counter stays 0).
   const bool partitioned = o.exec_mode != ExecMode::kClassic;
   if (partitioned) {
     sim.enable_partitions(segments > 1 ? segments : std::max(1, o.nodes));
@@ -338,25 +327,13 @@ HarnessResult run_harness(const HarnessOptions& opts) {
 
   chaos::InvariantSet invariants = chaos::InvariantSet::standard();
   std::uint64_t hash = chaos::kTraceHashSeed;
-  std::unique_ptr<sim::AsyncTraceSink> sink;
   if (o.check_invariants) {
     sim.trace().enable_all();
     sim.trace().set_store(false);
-    auto observe = [&](const sim::TraceEvent& e) {
+    sim.trace().set_observer([&](const sim::TraceEvent& e) {
       hash = chaos::hash_event(hash, e);
       invariants.on_event(e);
-    };
-    if (o.exec_mode == ExecMode::kConcurrent) {
-      // Observer offload: the in-order consumer replays the identical
-      // sequence through the same fold + checkers off the sim thread.
-      sim::AsyncTraceSink::Options sink_opts;
-      sink_opts.fold_workers = o.engine_workers > 1 ? 1 : 0;
-      sink = std::make_unique<sim::AsyncTraceSink>(
-          sim::TraceObserver(observe), sink_opts);
-      sim.trace().set_observer(sink->observer());
-    } else {
-      sim.trace().set_observer(observe);
-    }
+    });
   }
 
   const int clients = o.nodes - o.servers;
@@ -398,9 +375,8 @@ HarnessResult run_harness(const HarnessOptions& opts) {
   const sim::Duration slice =
       o.fast ? 2 * sim::kMillisecond : 20 * sim::kMillisecond;
 
-  // Both epoch-2 modes declare the same lookahead before the first
-  // window; the driver loops use the same sim.now() + slice deadlines, so
-  // the window boundaries (part of the epoch-2 hash contract) match.
+  // The lookahead and the sim.now() + slice deadlines below fix the
+  // window boundaries, which are part of the epoch-2 hash contract.
   if (partitioned) {
     sim.set_lookahead(net_single ? net_single->bus().config().propagation
                                  : internet->lookahead());
@@ -408,23 +384,10 @@ HarnessResult run_harness(const HarnessOptions& opts) {
 
   const auto wall_start = std::chrono::steady_clock::now();
   std::uint64_t executed = 0;
-  if (o.exec_mode == ExecMode::kConcurrent) {
-    sim::ParallelEngine engine(sim,
-                               sim::ParallelConfig{o.engine_workers, 0});
-    while (tally.finished.load(std::memory_order_relaxed) < clients &&
-           sim.now() < o.max_sim_time) {
-      executed += engine.run_until(sim.now() + slice);
-    }
-  } else {
-    while (tally.finished.load(std::memory_order_relaxed) < clients &&
-           sim.now() < o.max_sim_time) {
-      executed += sim.run_until(sim.now() + slice);
-    }
+  while (tally.finished < clients && sim.now() < o.max_sim_time) {
+    executed += sim.run_until(sim.now() + slice);
   }
   const auto wall_end = std::chrono::steady_clock::now();
-  // Drain the async observer pipeline before anything below reads what
-  // the downstream observer writes (hash, violations, stats).
-  if (sink) sink->flush();
 
   if (net_single) {
     net_single->check_clients();
@@ -459,7 +422,7 @@ HarnessResult run_harness(const HarnessOptions& opts) {
   r.requests_issued = hub.total(stats::Counter::kRequestsIssued);
   r.requests_completed = hub.total(stats::Counter::kRequestsCompleted);
   r.cpu_busy_micros = hub.total(stats::Counter::kCpuBusyMicros);
-  r.ops_done = tally.ops_done.load(std::memory_order_relaxed);
+  r.ops_done = tally.ops_done;
   if (!tally.per_client.empty()) {
     const auto [lo, hi] =
         std::minmax_element(tally.per_client.begin(), tally.per_client.end());
@@ -485,7 +448,6 @@ HarnessResult run_harness(const HarnessOptions& opts) {
     r.trace_hash = hash;
     // The observer references locals of this frame; drop it before return.
     sim.trace().set_observer(nullptr);
-    sink.reset();
   }
   r.lookahead_violations = sim.lookahead_violations();
   return r;

@@ -40,12 +40,7 @@ const char* to_string(Workload w);
 ///    conservative window protocol one partition at a time on the calling
 ///    thread (partition-local RNG streams, receiver-side bus draws,
 ///    barrier-merged traces).
-///  - kConcurrent: the same epoch-2 window protocol with each window's
-///    partitions executed concurrently by sim::ParallelEngine and the
-///    observer path moved onto sim::AsyncTraceSink. Bit-identical events,
-///    RNG draws, and trace_hash to kWindowed by construction — asserted
-///    by tests/test_determinism.cc and tests/test_parallel_sim.cc.
-enum class ExecMode : std::uint8_t { kClassic, kWindowed, kConcurrent };
+enum class ExecMode : std::uint8_t { kClassic, kWindowed };
 
 const char* to_string(ExecMode m);
 
@@ -79,13 +74,10 @@ struct HarnessOptions {
   /// silence window is what collapses there, EXPERIMENTS.md).
   bool retransmit_backoff = false;
   bool check_invariants = true;
-  /// Engine selection; kWindowed/kConcurrent partition the event queue
-  /// (one partition per segment, or per node on a single bus) and hash
-  /// under epoch 2 (chaos::kHashEpoch).
+  /// Engine selection; kWindowed partitions the event queue (one
+  /// partition per segment, or per node on a single bus) and hashes under
+  /// epoch 2 (chaos::kHashEpoch).
   ExecMode exec_mode = ExecMode::kClassic;
-  /// Worker pool size for the concurrent engine (window executors + fold
-  /// threads); 0 = hardware_concurrency.
-  int engine_workers = 0;
   sim::Duration max_sim_time = 120 * sim::kSecond;  // hard stop
 };
 
@@ -113,7 +105,7 @@ struct HarnessResult {
   std::uint64_t cpu_busy_micros = 0;   // summed over all node CPUs
   std::uint64_t violations = 0;
   std::uint64_t trace_hash = 0;
-  /// Cross-partition schedules under the lookahead window (parallel
+  /// Cross-partition schedules under the lookahead window (windowed
   /// engine only; 0 for every shipped topology — the bench gate).
   std::uint64_t lookahead_violations = 0;
   std::string first_violation;     // empty when clean

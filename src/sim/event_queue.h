@@ -222,30 +222,6 @@ class EventQueue {
     return has_front() ? cells_[front_[front_pos_]].at : ready_time_;
   }
 
-  /// (time, seq) of the earliest pending event — the key the partitioned
-  /// merge orders queues by. Only valid when !empty(). Mirrors pop()'s
-  /// preference for the past-due front list over the active tick.
-  std::pair<Time, std::uint64_t> next_key() {
-    const bool ok = prepare();
-    assert(ok);
-    (void)ok;
-    const std::uint32_t idx =
-        has_front() ? front_[front_pos_] : ready_[ready_pos_];
-    const Cell& c = cells_[idx];
-    return {c.at, c.seq};
-  }
-
-  /// Advance wheel structure (cascades, overflow rebase, tick activation)
-  /// until the earliest live event sits at the head, without popping it.
-  /// Pure structural work with no effect on pop order, so partitioned
-  /// queues can be prefetched from worker threads while the merge loop is
-  /// parked — each queue's internals are disjoint from every other's.
-  /// Returns false when the queue is empty (nothing to do).
-  bool prefetch() {
-    if (live_ == 0) return false;
-    return prepare();
-  }
-
   /// A popped event together with its (time, seq) key. The partitioned
   /// epoch-2 executor pops with the key so it can erase the event's
   /// live-map entry (keyed by seq) without a second wheel lookup.

@@ -4,9 +4,8 @@
 // Unpartitioned simulations own exactly one stream; partitioned (epoch-2)
 // simulations own one *per partition wheel*, split from the root seed, so
 // a partition's draw sequence is a pure function of (root_seed, partition)
-// no matter how cross-partition event execution interleaves. That
-// independence is what lets sim::ParallelEngine execute partitions
-// concurrently inside a lookahead window (doc/PERFORMANCE.md §5).
+// no matter in which order the partitions of a lookahead window execute
+// (doc/PERFORMANCE.md §5).
 #pragma once
 
 #include <cassert>

@@ -17,8 +17,8 @@
 //   execute_partition_window(p)
 //                            run partition p's events inside the window —
 //                            independent per partition (own wheel, own RNG,
-//                            own clock, own trace buffer), so distinct
-//                            partitions may run on distinct threads
+//                            own trace buffer), so the result does not
+//                            depend on the order partitions execute in
 //   commit_window()          barrier: apply cross-partition schedules and
 //                            cancels staged during the window in ascending
 //                            source-partition order, merge the window's
@@ -28,10 +28,9 @@
 // Cross-partition schedules/cancels issued *inside* a window are the only
 // inter-wheel writes; they are staged per source partition and applied at
 // the barrier, so the result is a pure function of (scenario, seed,
-// lookahead, run_until deadlines) regardless of how partitions interleave
-// on threads. Serial partitioned execution (run_until/run on this class)
-// walks the same window protocol one partition at a time and is the
-// epoch-2 reference that sim::ParallelEngine must match bit-identically.
+// lookahead, run_until deadlines). run_until/run walk the protocol one
+// partition at a time on the calling thread; a Simulator is only ever
+// touched by one thread.
 #pragma once
 
 #include <algorithm>
@@ -61,24 +60,17 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  Time now() const {
-    const ExecTls& t = exec_tls();
-    return t.sim == this ? t.now : now_;
-  }
+  Time now() const { return now_; }
 
   /// The RNG stream for the ambient partition: the root stream on an
   /// unpartitioned simulator, the partition-affine split stream otherwise.
   /// During window execution a callback may only draw from the stream of
   /// the partition it executes on — that independence is the epoch-2
-  /// contract that lets partitions run concurrently.
+  /// contract that makes each stream a pure function of its partition.
   Rng& rng() {
     if (part_ == nullptr) return rng_;
-    const ExecTls& t = exec_tls();
-    if (t.sim == this) {
-      assert(t.current == t.executing &&
-             "RNG draw under a foreign ScopedPartition during execution");
-      return part_->parts[static_cast<std::size_t>(t.current)].rng;
-    }
+    assert((part_->executing < 0 || part_->current == part_->executing) &&
+           "RNG draw under a foreign ScopedPartition during execution");
     return part_->parts[static_cast<std::size_t>(part_->current)].rng;
   }
 
@@ -113,19 +105,12 @@ class Simulator {
   /// executor's wheel); topology code pins it with ScopedPartition while
   /// constructing nodes or addressing another component's wheel.
   int current_partition() const {
-    if (part_ == nullptr) return 0;
-    const ExecTls& t = exec_tls();
-    return t.sim == this ? t.current : part_->current;
+    return part_ == nullptr ? 0 : part_->current;
   }
   void set_current_partition(int p) {
     if (part_ == nullptr) return;
     assert(p >= 0 && p < partition_count());
-    ExecTls& t = exec_tls();
-    if (t.sim == this) {
-      t.current = p;
-    } else {
-      part_->current = p;
-    }
+    part_->current = p;
   }
 
   /// Conservative lookahead: the minimum cross-partition latency the
@@ -172,13 +157,13 @@ class Simulator {
     const int target = static_cast<int>(id >> kPartShift) - 1;
     const std::uint64_t lseq = id & kLseqMask;
     if (target < 0 || target >= partition_count()) return;
-    ExecTls& t = exec_tls();
-    if (t.sim == this && target != t.executing) {
-      // Cross-partition cancel from inside a window: the target wheel may
-      // be executing on another thread, so stage it for the barrier. If
-      // the event fires within this same window the cancel arrives too
-      // late — identically so in serial and concurrent execution.
-      Part& src = part_->parts[static_cast<std::size_t>(t.executing)];
+    const int executing = part_->executing;
+    if (executing >= 0 && target != executing) {
+      // Cross-partition cancel from inside a window: stage it for the
+      // barrier, so the outcome does not depend on whether the target
+      // partition executes before or after this one. If the event fires
+      // within this same window the cancel arrives too late.
+      Part& src = part_->parts[static_cast<std::size_t>(executing)];
       StagedOp op;
       op.cancel = true;
       op.target = target;
@@ -256,8 +241,8 @@ class Simulator {
 
   // ---- The epoch-2 window protocol -------------------------------------
   //
-  // run_until/run above drive these three steps serially; ParallelEngine
-  // drives step 2 concurrently (distinct partitions on distinct threads).
+  // run_until/run above drive these three steps; a benchmark may drive
+  // them directly to time each step.
 
   /// Place the next execution window: start at the earliest pending event,
   /// extend by max(lookahead, 1) (truncated at `deadline`), and collect
@@ -297,43 +282,45 @@ class Simulator {
 
   /// Execute partition `p`'s events inside the current window, in (time,
   /// local seq) order. Touches only partition-local state (wheel, RNG
-  /// stream, live map, staging list, trace buffer), so distinct partitions
-  /// may execute concurrently. Same-partition schedules apply immediately
-  /// (and run in this window if they land inside it); cross-partition
-  /// schedules and cancels are staged for commit_window.
+  /// stream, live map, staging list, trace buffer), so the partitions of
+  /// one window may execute in any order. Same-partition schedules apply
+  /// immediately (and run in this window if they land inside it);
+  /// cross-partition schedules and cancels are staged for commit_window.
+  /// The clock and ambient partition are restored on return, so between
+  /// windows now() is the last committed window end.
   void execute_partition_window(int part) {
     Partitioned& ps = *part_;
     Part& p = ps.parts[static_cast<std::size_t>(part)];
     const Time we = ps.window_end;
-    ExecTls& t = exec_tls();
-    t.sim = this;
-    t.executing = part;
-    t.current = part;
-    t.now = now_;
-    Trace::set_thread_buffer(&p.buffer);
+    const Time saved_now = now_;
+    const int saved_current = ps.current;
+    ps.executing = part;
+    trace_.set_buffer(&p.buffer);
+    auto leave = [&] {
+      trace_.set_buffer(nullptr);
+      ps.executing = -1;
+      ps.current = saved_current;
+      now_ = saved_now;
+    };
     std::size_t n = 0;
     try {
       while (!p.queue.empty() && p.queue.next_time() <= we) {
         EventQueue::KeyedEvent ev = p.queue.pop_keyed();
         p.live.erase(ev.seq);
-        t.now = ev.at;
-        t.current = part;  // events inherit their executor's wheel
+        now_ = ev.at;
+        ps.current = part;  // events inherit their executor's wheel
         ev.fn();
         ++n;
       }
     } catch (...) {
-      // Leave the thread reusable (the engine rethrows at the barrier);
-      // the simulation itself is not resumable after a throwing callback.
-      Trace::set_thread_buffer(nullptr);
-      t.sim = nullptr;
-      t.executing = -1;
+      // The simulation is not resumable after a throwing callback; only
+      // leave the simulator's ambient state consistent for teardown.
+      leave();
       throw;
     }
     p.executed_window = n;
     p.next_cache = p.queue.empty() ? kNever : p.queue.next_time();
-    Trace::set_thread_buffer(nullptr);
-    t.sim = nullptr;
-    t.executing = -1;
+    leave();
   }
 
   /// Window barrier. Applies the staged cross-partition operations in
@@ -378,14 +365,6 @@ class Simulator {
 
   // ----------------------------------------------------------------------
 
-  /// Advance one partition wheel's structure up to its head event without
-  /// popping. Touches only that wheel — safe to call concurrently for
-  /// distinct partitions while no window is executing.
-  void prefetch_partition(int p) {
-    if (part_ == nullptr) return;
-    part_->parts[static_cast<std::size_t>(p)].queue.prefetch();
-  }
-
   /// Lifetime scheduling totals (see EventQueue) — the bench harness uses
   /// these as a deterministic proxy for timer-bookkeeping cost.
   std::uint64_t events_scheduled() const {
@@ -416,11 +395,8 @@ class Simulator {
     EventFn fn;           // schedule payload
   };
 
-  /// Per-partition execution state. Everything here is owned by at most
-  /// one thread at a time: the executing worker during a window, the
-  /// committing thread at the barrier. Cache-line aligned so two workers'
-  /// hot counters never share a line.
-  struct alignas(64) Part {
+  /// Per-partition execution state.
+  struct Part {
     EventQueue queue;
     Rng rng{0};
     std::uint64_t lseq_next = 0;
@@ -453,24 +429,9 @@ class Simulator {
     Duration lookahead = 0;
     Time window_end = 0;
     bool in_window = false;
-    int current = 0;  // ambient partition outside window execution
+    int current = 0;     // ambient partition for new schedules
+    int executing = -1;  // partition inside execute_partition_window, or -1
   };
-
-  /// Thread-local execution context: non-null `sim` while this thread is
-  /// inside execute_partition_window for that simulator. Keeps the clock,
-  /// ambient partition, and executing partition off shared state so
-  /// workers never write each other's lines (and so concurrent seed-sweep
-  /// threads, each with their own Simulator, stay independent).
-  struct ExecTls {
-    const Simulator* sim = nullptr;
-    int current = 0;
-    int executing = -1;
-    Time now = 0;
-  };
-  static ExecTls& exec_tls() {
-    static thread_local ExecTls t;
-    return t;
-  }
 
   static EventId outer_id(int part, std::uint64_t lseq) {
     assert(lseq <= kLseqMask);
@@ -486,10 +447,10 @@ class Simulator {
   template <typename F>
   EventId schedule_abs(Time when, Duration delay, F&& fn) {
     if (part_ == nullptr) return queue_.schedule(when, std::forward<F>(fn));
-    ExecTls& t = exec_tls();
-    if (t.sim == this) {
-      const int target = t.current;
-      if (target == t.executing) {
+    const int executing = part_->executing;
+    const int target = part_->current;
+    if (executing >= 0) {
+      if (target == executing) {
         // Same-partition: apply directly. No heap push — the partition is
         // active in this window and commit_window re-pushes its head.
         return apply_schedule_local(target, when, std::forward<F>(fn));
@@ -497,7 +458,7 @@ class Simulator {
       // Cross-partition from inside a window: stage for the barrier. The
       // returned id is 0 — the event cannot be cancelled until it has
       // materialized in the target wheel (after the next barrier).
-      Part& src = part_->parts[static_cast<std::size_t>(t.executing)];
+      Part& src = part_->parts[static_cast<std::size_t>(executing)];
       if (delay < part_->lookahead) ++src.violations;
       StagedOp op;
       op.target = target;
@@ -506,12 +467,11 @@ class Simulator {
       src.staged.push_back(std::move(op));
       return 0;
     }
-    return apply_schedule(part_->current, when, std::forward<F>(fn));
+    return apply_schedule(target, when, std::forward<F>(fn));
   }
 
   /// Insert into the target wheel and update its head cache. Only valid
-  /// when the caller owns the target partition (the committing thread, or
-  /// code outside any window).
+  /// outside window execution (at the barrier, or from top-level code).
   template <typename F>
   EventId apply_schedule(int target, Time when, F&& fn) {
     const EventId id = apply_schedule_local(target, when, std::forward<F>(fn));

@@ -195,19 +195,17 @@ class Trace {
   /// turn retention off and rely on the observer + counters instead.
   void set_store(bool store) { store_ = store; }
 
-  /// Redirect this *thread's* record() calls into `buffer` (nullptr to
-  /// restore the normal path). The partitioned epoch-2 executor points
-  /// each worker at its partition's window buffer, so recording during
-  /// concurrent execution never touches the shared observer/retention/
-  /// counter state; the barrier replays the merged window through
-  /// commit() in the canonical (time, partition) order.
-  static void set_thread_buffer(std::vector<TraceEvent>* buffer) {
-    thread_buffer() = buffer;
-  }
+  /// Redirect record() calls into `buffer` (nullptr to restore the normal
+  /// path). The partitioned epoch-2 executor points the trace at the
+  /// executing partition's window buffer, so recording during a window
+  /// never reaches the observer/retention/counter state; the barrier
+  /// replays the merged window through commit() in the canonical (time,
+  /// partition) order.
+  void set_buffer(std::vector<TraceEvent>* buffer) { buffer_ = buffer; }
 
   /// Deliver one already-built event through the normal sink path
   /// (observer, retention, counters). Used by the window barrier; record()
-  /// is equivalent to building the event and committing it when no thread
+  /// is equivalent to building the event and committing it when no
   /// buffer is installed.
   void commit(const TraceEvent& e) {
     if (observer_) observer_(e);
@@ -223,8 +221,8 @@ class Trace {
     e.at = at;
     e.category = c;
     e.node = node;
-    if (std::vector<TraceEvent>* buf = thread_buffer()) {
-      buf->push_back(e);
+    if (buffer_ != nullptr) {
+      buffer_->push_back(e);
       return;
     }
     if (observer_) observer_(e);
@@ -255,11 +253,6 @@ class Trace {
   }
 
  private:
-  static std::vector<TraceEvent>*& thread_buffer() {
-    static thread_local std::vector<TraceEvent>* buf = nullptr;
-    return buf;
-  }
-
   void bump_counts(TraceCategory c, int node) {
     ++totals_[static_cast<std::size_t>(c)];
     // Per-(category, node) counts live in a dense array indexed by node id
@@ -293,6 +286,7 @@ class Trace {
   std::uint64_t mask_ = 0;
   bool store_ = true;
   TraceObserver observer_;
+  std::vector<TraceEvent>* buffer_ = nullptr;  // set_buffer target
   std::vector<TraceEvent> events_;
   std::array<std::size_t, kNumTraceCategories> totals_{};
   std::vector<std::size_t> node_counts_dense_;  // [(node+1) * ncat + cat]

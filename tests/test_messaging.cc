@@ -54,12 +54,20 @@ class Echo : public SodalClient {
   Bytes last_in;
 };
 
+// gtest names each case by printing the parameter's raw bytes, so the
+// padding is spelled out and zeroed: implicit padding would put whatever
+// memory the temporary happened to occupy into the test names.
 struct MatrixParam {
+  MatrixParam(std::uint32_t put, std::uint32_t get, bool p, double l)
+      : put_bytes(put), get_bytes(get), pipelined(p), loss(l) {}
   std::uint32_t put_bytes;
   std::uint32_t get_bytes;
   bool pipelined;
+  std::uint8_t pad[7] = {};
   double loss;
 };
+static_assert(sizeof(MatrixParam) == 24,
+              "MatrixParam must have no implicit padding");
 
 class MessagingMatrix : public ::testing::TestWithParam<MatrixParam> {};
 

@@ -1,7 +1,10 @@
 // Unit tests for the broadcast-bus model and frame vocabulary.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "net/bus.h"
+#include "net/frame_pool.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
 
@@ -189,6 +192,65 @@ TEST(Bus, DelayFilterAddsShapedLatency) {
   bus.send(f);
   s.run();
   EXPECT_EQ(delivered_at, wire + 1500);
+}
+
+// Delivery events own FrameRefs and may outlive the Bus that pooled them
+// (core::Network tears its bus down before the simulator's queue). The
+// pool core must stay alive until its last owner drops, in either order;
+// the sanitizer build turns a use-after-free or a leaked core into a
+// failure here.
+TEST(FramePool, ScheduledDeliveryOutlivesItsBus) {
+  int delivered = 0;
+  {
+    sim::Simulator s;
+    {
+      Bus bus(s, BusConfig{});
+      bus.attach(2, [&](const Frame&) { ++delivered; });
+      bus.send(small_frame(1, 2));
+      bus.send(small_frame(1, kBroadcastMid));
+    }
+    // The bus (and its pool handle) is gone; the queued deliveries still
+    // hold refs, and destroying the simulator releases the last of them.
+    EXPECT_FALSE(s.idle());
+  }
+  EXPECT_EQ(delivered, 0);
+
+  // The same at the pool level, with both destruction orders.
+  FrameRef survivor;
+  {
+    FramePool pool;
+    survivor = pool.make(small_frame(3, 4));
+    FrameRef early = pool.make(small_frame(5, 6));
+    EXPECT_EQ(early->src, 5);
+  }
+  ASSERT_TRUE(survivor);
+  EXPECT_EQ(survivor->src, 3);
+  EXPECT_EQ(survivor->dst, 4);
+  survivor.reset();  // last owner: frees the core
+  EXPECT_FALSE(survivor);
+}
+
+// Steady traffic reuses freed nodes: whether a frame is delivered or
+// dropped on the wire, its node returns to the free list, so the slab
+// stays at the peak number of frames in flight at once.
+TEST(FramePool, SteadyTrafficRecyclesNodes) {
+  sim::Simulator s;
+  Bus bus(s, BusConfig{});
+  int delivered = 0;
+  bus.attach(2, [&](const Frame&) { ++delivered; });
+  bus.attach(3, [&](const Frame&) { ++delivered; });
+  int sends = 0;
+  bus.set_loss_filter([&sends](const Frame&, Mid) { return ++sends % 3 == 0; });
+  constexpr int kRounds = 500, kBurst = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int i = 0; i < kBurst; ++i) {
+      bus.send(small_frame(1, i % 2 == 0 ? 2 : kBroadcastMid));
+    }
+    s.run();
+  }
+  EXPECT_GT(delivered, 0);
+  EXPECT_GT(bus.frames_lost(), 0u);
+  EXPECT_EQ(bus.pool().slab_nodes(), static_cast<std::size_t>(kBurst));
 }
 
 }  // namespace

@@ -1,29 +1,24 @@
-// Differential proof of the conservative parallel engine.
+// Differential proof of the partitioned window protocol.
 //
 // Epoch 2 (doc/PERFORMANCE.md §5): the partitioned Simulator executes
 // lookahead windows — each partition's events run independently inside a
-// window against partition-local state (wheel, RNG stream, clock, trace
-// buffer), and cross-partition schedules/cancels are staged and applied
-// at the commit barrier. The serial windowed walk is the reference;
-// sim::ParallelEngine must reproduce it bit-identically while genuinely
-// executing distinct partitions on distinct threads.
+// window against partition-local state (wheel, RNG stream, trace buffer),
+// and cross-partition schedules/cancels are staged and applied at the
+// commit barrier.
 //
-// The proof is differential, three layers deep:
+// The proof is differential:
 //   1. a naive std::priority_queue reference model ordered by (time, seq)
 //      — small enough to be obviously correct — pins the unpartitioned
 //      wheel and the 1-partition windowed walk, including the wheel's
 //      edge cases (past-due scheduling, overflow-list rebasing, cancels
 //      of already-fired events, double cancels);
-//   2. seed-randomized schedule/cancel/run_until storms hold the serial
-//      windowed engine and the concurrent engine to identical
-//      per-partition execution logs across partition counts, worker
-//      counts, and lookahead widths — clamped staged ops included;
+//   2. seed-randomized schedule/cancel/run_until storms hold the
+//      multi-partition windowed walk to the reference's events and firing
+//      times at width-1 windows, and make wider windows exercise the
+//      staged-violation clamp;
 //   3. fault injection pins the staged-violation rule: a cross-partition
 //      schedule under the declared lookahead is counted AND lands exactly
-//      at the next window boundary, identically under both engines.
-// On top: TraceFold algebra, AsyncTraceSink in-order replay, the
-// lookahead-violation counter, and compare_engines over builtin chaos
-// scenarios.
+//      at the next window boundary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,9 +29,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "chaos/runner.h"
-#include "chaos/scenario.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 
 using namespace soda;
@@ -104,11 +96,8 @@ struct Fired {
 };
 
 // Children derive their tag from the parent's instead of drawing from a
-// shared counter: under the concurrent engine two partitions may spawn
-// children in the same window on different threads, so any shared
-// allocation would race — and, worse, make the logs depend on thread
-// interleaving. Parent tags stay below the base, so derived tags are
-// unique.
+// shared counter, so a tag never depends on the order partitions execute
+// in. Parent tags stay below the base, so derived tags are unique.
 constexpr int kChildTagBase = 1'000'000;
 
 // Deterministic op-sequence generator (private SplitMix64 so the test
@@ -215,19 +204,14 @@ std::vector<Fired> drive_ref(std::uint64_t seed) {
   return log;
 }
 
-// A partitioned run's observable result: one execution log per partition.
-// Per-partition (rather than one global vector) because that is the
-// epoch-2 unit of determinism — and because under the concurrent engine a
-// partition's log is written by whichever thread executes its window, so
-// a shared vector would be a data race. Each inner vector has exactly one
-// writer at a time (window barriers order successive windows).
+// A partitioned run's observable result: one execution log per partition,
+// because the partition is the epoch-2 unit of determinism.
 struct SimRun {
   std::vector<std::vector<Fired>> logs;
   std::uint64_t violations = 0;
 };
 
-SimRun drive_sim(std::uint64_t seed, int partitions, sim::Duration lookahead,
-                 bool use_engine = false, int workers = 0) {
+SimRun drive_sim(std::uint64_t seed, int partitions, sim::Duration lookahead) {
   sim::Simulator s;
   if (partitions > 0) {
     s.enable_partitions(partitions);
@@ -255,12 +239,7 @@ SimRun drive_sim(std::uint64_t seed, int partitions, sim::Duration lookahead,
     });
   };
   auto cancel = [&s](std::uint64_t id) { s.cancel(id); };
-  if (use_engine) {
-    sim::ParallelEngine eng(s, sim::ParallelConfig{workers, 0});
-    drive(seed, schedule, cancel, [&eng](sim::Time t) { eng.run_until(t); });
-  } else {
-    drive(seed, schedule, cancel, [&s](sim::Time t) { s.run_until(t); });
-  }
+  drive(seed, schedule, cancel, [&s](sim::Time t) { s.run_until(t); });
   run.violations = s.lookahead_violations();
   return run;
 }
@@ -304,14 +283,11 @@ TEST(ParallelSimDifferential, SinglePartitionWindowedMatchesReference) {
   }
 }
 
-TEST(ParallelSimDifferential, ConcurrentEngineMatchesWindowedReference) {
-  // The tentpole contract: for identical (seed, partitions, lookahead,
-  // run_until deadlines), the concurrent engine's per-partition execution
-  // logs — events, order, AND firing times, clamped staged ops included —
-  // are bit-identical to the serial windowed walk's, for every worker
-  // count. The storms cover width-1 windows (lookahead 0), windows small
-  // against the schedule delays (64), and windows that swallow whole
-  // bursts (1000).
+TEST(ParallelSimDifferential, MultiPartitionWindowedWalkMatchesReference) {
+  // For every partition count and lookahead width, the windowed walk
+  // keeps the reference's events: at width-1 windows (lookahead 0) every
+  // event fires at its reference time, and wider windows (64, 1000) must
+  // actually exercise the staged-violation clamp.
   for (std::uint64_t seed : {1ull, 2ull, 7ull, 42ull, 1984ull}) {
     const auto ref = drive_ref(seed);
     for (int partitions : {2, 4, 8}) {
@@ -333,101 +309,9 @@ TEST(ParallelSimDifferential, ConcurrentEngineMatchesWindowedReference) {
               << "seed " << seed << " partitions " << partitions
               << " lookahead " << la;
         }
-        for (int workers : {1, 4}) {
-          const auto conc = drive_sim(seed, partitions, la,
-                                      /*use_engine=*/true, workers);
-          EXPECT_EQ(conc.logs, windowed.logs)
-              << "concurrent engine diverged, seed " << seed
-              << " partitions " << partitions << " lookahead " << la
-              << " workers " << workers;
-          EXPECT_EQ(conc.violations, windowed.violations)
-              << "violation count diverged, seed " << seed
-              << " partitions " << partitions << " lookahead " << la
-              << " workers " << workers;
-        }
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// TraceFold algebra.
-
-sim::TraceEvent make_event(int i) {
-  sim::TraceEvent e;
-  e.at = 100 + i;
-  e.category = sim::TraceCategory::kRequestIssued;
-  e.node = i % 5;
-  e.peer = (i + 1) % 5;
-  e.tid = i;
-  e.size = 64 + i;
-  return e;
-}
-
-TEST(TraceFold, PartialFoldsMergeToTheSameDigestInAnyOrder) {
-  sim::TraceFold serial;
-  for (int i = 0; i < 100; ++i) serial.add(make_event(i));
-
-  // Split across three workers round-robin, merge in worker order...
-  sim::TraceFold w[3];
-  for (int i = 0; i < 100; ++i) w[i % 3].add(make_event(i));
-  sim::TraceFold merged = w[0];
-  merged.merge(w[1]);
-  merged.merge(w[2]);
-  EXPECT_EQ(merged.digest(), serial.digest());
-  EXPECT_EQ(merged.count, serial.count);
-
-  // ...and in reverse worker order: commutative by construction.
-  sim::TraceFold reversed = w[2];
-  reversed.merge(w[1]);
-  reversed.merge(w[0]);
-  EXPECT_EQ(reversed.digest(), serial.digest());
-}
-
-TEST(TraceFold, DigestSeesSingleFieldChanges) {
-  sim::TraceFold a, b;
-  for (int i = 0; i < 10; ++i) a.add(make_event(i));
-  for (int i = 0; i < 10; ++i) {
-    sim::TraceEvent e = make_event(i);
-    if (i == 7) e.size += 1;
-    b.add(e);
-  }
-  EXPECT_NE(a.digest(), b.digest());
-  sim::TraceFold c;
-  for (int i = 0; i < 9; ++i) c.add(make_event(i));
-  EXPECT_NE(a.digest(), c.digest());  // count folds into the digest
-}
-
-// ---------------------------------------------------------------------------
-// AsyncTraceSink: the downstream observer must see the identical ordered
-// stream, and the combined fold must equal the inline fold.
-
-TEST(AsyncTraceSink, ReplaysInOrderAndFoldsIdentically) {
-  constexpr int kEvents = 10'000;
-  sim::TraceFold inline_fold;
-  std::vector<std::int64_t> seen;
-  sim::AsyncTraceSink::Options opts;
-  opts.chunk_events = 64;   // force many chunk handoffs
-  opts.fold_workers = 2;    // partials combined in worker-index order
-  opts.max_pending_chunks = 4;  // exercise producer back-pressure
-  sim::AsyncTraceSink sink(
-      sim::TraceObserver([&seen](const sim::TraceEvent& e) {
-        seen.push_back(e.tid);
-      }),
-      opts);
-  for (int i = 0; i < kEvents; ++i) {
-    const sim::TraceEvent e = make_event(i);
-    inline_fold.add(e);
-    sink.on_event(e);
-  }
-  const sim::TraceFold combined = sink.combined_fold();
-  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kEvents));
-  for (int i = 0; i < kEvents; ++i) {
-    ASSERT_EQ(seen[static_cast<std::size_t>(i)], i) << "reordered at " << i;
-  }
-  EXPECT_EQ(combined.digest(), inline_fold.digest());
-  EXPECT_EQ(combined.count, inline_fold.count);
-  EXPECT_GT(sink.chunks_emitted(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -464,53 +348,27 @@ TEST(Lookahead, CrossPartitionSchedulesUnderTheWindowAreCounted) {
 
 TEST(Lookahead, StagedViolationLandsAtTheNextWindowBoundary) {
   // A cross-partition schedule under the declared lookahead cannot be
-  // delivered at its nominal time — the target partition may already be
-  // executing past it on another thread. The rule (commit_window in
+  // delivered at its nominal time — the target partition may already have
+  // executed past it in this window. The rule (commit_window in
   // sim/simulator.h): the staged op lands at window_end + 1 — late by
   // less than one window, and deterministically so. Pin the exact landing
-  // time under both engines.
-  for (bool use_engine : {false, true}) {
-    sim::Simulator s;
-    s.enable_partitions(2);
-    s.set_lookahead(100);
-    sim::Time fired_at = 0;
-    {
-      sim::ScopedPartition p0(s, 0);
-      s.after(10, [&s, &fired_at]() {
-        // Nominal target t=20 on the other partition — inside the
-        // [10, 109] window, so it must be deferred.
-        sim::ScopedPartition p1(s, 1);
-        s.after(10, [&s, &fired_at]() { fired_at = s.now(); });
-      });
-    }
-    if (use_engine) {
-      sim::ParallelEngine eng(s, sim::ParallelConfig{2, 0});
-      eng.run();
-    } else {
-      s.run();
-    }
-    EXPECT_EQ(s.lookahead_violations(), 1u) << "engine=" << use_engine;
-    EXPECT_EQ(fired_at, 110) << "engine=" << use_engine;
+  // time.
+  sim::Simulator s;
+  s.enable_partitions(2);
+  s.set_lookahead(100);
+  sim::Time fired_at = 0;
+  {
+    sim::ScopedPartition p0(s, 0);
+    s.after(10, [&s, &fired_at]() {
+      // Nominal target t=20 on the other partition — inside the
+      // [10, 109] window, so it must be deferred.
+      sim::ScopedPartition p1(s, 1);
+      s.after(10, [&s, &fired_at]() { fired_at = s.now(); });
+    });
   }
-}
-
-// ---------------------------------------------------------------------------
-// compare_engines over real chaos scenarios: digests match on the fast
-// sampled pass, no replay needed, and the shipped topologies keep the
-// violation counter at zero.
-
-TEST(CompareEngines, BuiltinScenariosMatchAcrossEngines) {
-  for (const char* name : {"smoke", "pool_failover", "inet_smoke",
-                           "gateway_flap"}) {
-    auto s = chaos::builtin_scenario(name);
-    ASSERT_TRUE(s.has_value()) << name;
-    const auto c = chaos::compare_engines(*s, /*seed=*/3, /*workers=*/2);
-    EXPECT_TRUE(c.ok()) << name << ": serial_digest=" << c.serial_digest
-                        << " parallel_digest=" << c.parallel_digest
-                        << " first_divergence=" << c.first_divergence;
-    EXPECT_FALSE(c.replayed) << name;
-    EXPECT_EQ(c.parallel_lookahead_violations, 0u) << name;
-  }
+  s.run();
+  EXPECT_EQ(s.lookahead_violations(), 1u);
+  EXPECT_EQ(fired_at, 110);
 }
 
 }  // namespace

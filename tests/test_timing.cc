@@ -20,12 +20,21 @@ StreamResult stream(OpKind k, std::uint32_t words, bool pipelined) {
 
 // ---- packet counts: the structural claim of the performance tables ----
 
+// gtest names each case by printing the parameter's raw bytes, so the
+// padding is spelled out and zeroed: implicit padding would put whatever
+// memory the temporary happened to occupy into the test names.
 struct PacketCase {
+  PacketCase(OpKind k, std::uint32_t w, bool p, double e)
+      : kind(k), words(w), pipelined(p), expected_packets(e) {}
   OpKind kind;
+  std::uint8_t pad0[3] = {};
   std::uint32_t words;
   bool pipelined;
+  std::uint8_t pad1[7] = {};
   double expected_packets;
 };
+static_assert(sizeof(PacketCase) == 24,
+              "PacketCase must have no implicit padding");
 
 class PacketCounts : public ::testing::TestWithParam<PacketCase> {};
 
