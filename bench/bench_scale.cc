@@ -5,7 +5,9 @@
 // side, then push contention and star-RPC to 128/256 nodes with
 // exponential retransmit backoff. Rows land in BENCH_scale.jsonl for the
 // trend tooling; wall-clock columns (wall_ms, events_per_wall_s,
-// peak_rss_kb) are host-dependent and gated only loosely.
+// peak_rss_kb) are host-dependent and gated only loosely. Every run walks
+// the epoch-2 window protocol (one partition per segment, or per node on
+// a single bus).
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -33,8 +35,7 @@ int servers_for(Workload w, int nodes) {
 
 HarnessResult run(Workload w, int nodes, bool optimized, double loss,
                   std::uint64_t seed, bool backoff = false,
-                  int pool_size = 0, int segments = 1,
-                  ExecMode mode = ExecMode::kClassic) {
+                  int pool_size = 0, int segments = 1) {
   HarnessOptions o;
   o.workload = w;
   o.nodes = nodes;
@@ -48,7 +49,6 @@ HarnessResult run(Workload w, int nodes, bool optimized, double loss,
   o.optimized = optimized;
   o.retransmit_backoff = backoff;
   o.check_invariants = true;
-  o.exec_mode = mode;
   return run_harness(o);
 }
 
@@ -59,27 +59,19 @@ int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
 
   JsonlReport report("scale");
-  // Host core count rides on every engine row: the events/wall-s column
-  // is meaningless without knowing the host it was measured on.
+  // Host core count rides on every row: the events/wall-s column is
+  // meaningless without knowing the host it was measured on.
   const int host_cores =
       static_cast<int>(std::thread::hardware_concurrency());
   auto emit = [&report, host_cores](
                   Workload w, int nodes, int servers, bool optimized,
                   double loss, const HarnessResult& r, bool backoff = false,
-                  int pool_size = 0, int segments = 1,
-                  ExecMode mode = ExecMode::kClassic) {
+                  int pool_size = 0, int segments = 1) {
     stats::JsonObject row;
-    // Classic rows omit the engine columns entirely so they keep
-    // aggregating with baselines recorded before the epoch-2 engines
-    // existed (trend defaults: exec_mode "", hash_epoch 1). Windowed rows
-    // hash under epoch 2 and must never pair with them.
-    if (mode != ExecMode::kClassic) {
-      row.set("exec_mode", to_string(mode))
-          .set("host_cores", host_cores)
-          .set("hash_epoch", chaos::kHashEpoch)
-          .set("lookahead_violations", r.lookahead_violations);
-    }
-    report.row(row.set("kind", "scale")
+    report.row(row.set("host_cores", host_cores)
+                   .set("hash_epoch", chaos::kHashEpoch)
+                   .set("lookahead_violations", r.lookahead_violations)
+                   .set("kind", "scale")
                    .set("workload", to_string(w))
                    .set("nodes", nodes)
                    .set("servers", servers)
@@ -244,11 +236,14 @@ int main(int argc, char** argv) {
   // 100% of its ops with zero invariant violations: the single shared
   // medium was the last O(N) wall, and segmentation is the fix the paper's
   // own "local network" framing invites. --quick keeps one 128-node
-  // two-segment row for the trend gate.
-  std::printf("\n[internetwork: segmented topologies]\n");
-  std::printf("  %5s %4s %10s %6s %9s %12s %10s %9s %4s\n", "nodes", "seg",
-              "workload", "pool", "sim_ms", "relayed", "frames", "ops",
-              "viol");
+  // two-segment row for the trend gate. The window protocol's exact,
+  // host-independent gate rides along: lookahead_violations == 0.
+  // events/wall-s is host-dependent (host_cores says which host).
+  std::printf("\n[internetwork: segmented topologies, %d host cores]\n",
+              host_cores);
+  std::printf("  %5s %4s %10s %6s %9s %12s %10s %11s %4s %7s %12s\n",
+              "nodes", "seg", "workload", "pool", "sim_ms", "relayed",
+              "frames", "ops", "viol", "la_viol", "ev/wall_s");
   const struct {
     Workload w;
     int nodes;
@@ -262,7 +257,6 @@ int main(int argc, char** argv) {
       {Workload::kStarRpc, 1024, 4, 0, false},
       {Workload::kContention, 128, 2, 8, false},
   };
-  const int par_nodes = quick ? 128 : 1024;
   for (const auto& tier : inet_tiers) {
     if (quick && !tier.in_quick) continue;
     const HarnessResult r =
@@ -271,40 +265,17 @@ int main(int argc, char** argv) {
     emit(tier.w, tier.nodes, servers_for(tier.w, tier.nodes),
          /*optimized=*/true, 0.0, r, /*backoff=*/true, tier.pool,
          tier.segments);
-    std::printf("  %5d %4d %10s %6d %9.1f %12llu %10llu %5llu/%-5llu %4llu\n",
+    std::printf("  %5d %4d %10s %6d %9.1f %12llu %10llu %5llu/%-5llu %4llu"
+                " %7llu %12.0f\n",
                 tier.nodes, tier.segments, to_string(tier.w), tier.pool,
                 sim::to_ms(r.sim_elapsed),
                 static_cast<unsigned long long>(r.frames_relayed),
                 static_cast<unsigned long long>(r.frames_sent),
                 static_cast<unsigned long long>(r.ops_done),
                 static_cast<unsigned long long>(r.ops_expected),
-                static_cast<unsigned long long>(r.violations));
-  }
-
-  // Engine tier: the two-segment star_rpc topology under the epoch-2
-  // window protocol (doc/PERFORMANCE.md §5). The host-independent gate is
-  // exact: lookahead_violations == 0. events/wall-s is host-dependent
-  // (host_cores in the JSONL row says which host a reader is looking at).
-  std::printf("\n[epoch-2 engine: star_rpc, %d nodes, 2 segments, "
-              "%d host cores]\n", par_nodes, host_cores);
-  std::printf("  %10s %9s %12s %12s %16s %7s %4s\n", "mode", "sim_ms",
-              "events", "ev/wall_s", "hash", "la_viol", "viol");
-  {
-    const HarnessResult r =
-        run(Workload::kStarRpc, par_nodes, /*optimized=*/true, /*loss=*/0.0,
-            /*seed=*/1, /*backoff=*/true, /*pool_size=*/0, /*segments=*/2,
-            ExecMode::kWindowed);
-    emit(Workload::kStarRpc, par_nodes,
-         servers_for(Workload::kStarRpc, par_nodes), /*optimized=*/true, 0.0,
-         r, /*backoff=*/true, /*pool_size=*/0, /*segments=*/2,
-         ExecMode::kWindowed);
-    std::printf("  %10s %9.1f %12llu %12.0f %016llx %7llu %4llu\n",
-                to_string(ExecMode::kWindowed), sim::to_ms(r.sim_elapsed),
-                static_cast<unsigned long long>(r.events_executed),
-                r.events_per_wall_s,
-                static_cast<unsigned long long>(r.trace_hash),
+                static_cast<unsigned long long>(r.violations),
                 static_cast<unsigned long long>(r.lookahead_violations),
-                static_cast<unsigned long long>(r.violations));
+                r.events_per_wall_s);
   }
 
   // One lossy row pair at 32 nodes: the optimizations must not change

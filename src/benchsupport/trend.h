@@ -40,11 +40,6 @@ struct ScaleTrend {
   // aggregation key so the internetwork tiers (doc/INTERNET.md) never
   // merge with the single-segment rows they're compared against.
   int segments = 1;
-  // Simulation engine ("" / "serial" / "classic" = the classic serial
-  // loop, "windowed" = the epoch-2 window protocol). Part of the
-  // aggregation key so engine rows diff against their own baselines,
-  // never against other engines on the same topology.
-  std::string engine;
   // Pinned-hash epoch the row was recorded under (chaos::kHashEpoch;
   // rows predating the hash_epoch column aggregate as epoch 1). Part of
   // the aggregation key: the epoch-2 partition-local RNG streams changed

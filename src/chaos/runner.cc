@@ -248,9 +248,7 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
     single = std::make_unique<Network>(nopts);
   }
   auto& sim = single ? single->sim() : internet->sim();
-  // Epoch 2: every run is partitioned — per-segment wheels, or per-node
-  // wheels on a single bus — and walks the window protocol.
-  sim.enable_partitions(segments > 1 ? segments : std::max(1, scenario.nodes));
+  sim.enable_partitions(partition_count(segments, scenario.nodes));
   sim.trace().enable_all();
   sim.trace().set_store(options.keep_events);
 

@@ -8,6 +8,7 @@
 // trace hash. That also makes the seed sweep embarrassingly parallel.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -45,10 +46,18 @@ struct RunStats {
 /// segment, or by node on a single bus) and executes the epoch-2 window
 /// protocol: partition-local RNG streams split from the root seed,
 /// receiver-side bus fault draws, per-serial unique-id sequences, and
-/// barrier-merged traces. Epoch 1 was the shared-stream serial engine;
-/// its pinned hashes are not comparable to epoch-2 ones, which is why
-/// chaos/bench JSONL rows carry this number.
+/// barrier-merged traces. Epoch 1 was the retired shared-stream serial
+/// engine; its pinned hashes are not comparable to epoch-2 ones, which is
+/// why chaos/bench JSONL rows carry this number.
 inline constexpr int kHashEpoch = 2;
+
+/// The epoch-2 partition rule every run uses (run_scenario and
+/// scale::run_harness): one partition wheel per bus segment, or one per
+/// node on a single bus. Every cross-partition edge is then a bus delivery
+/// or a gateway hold, both at least the declared lookahead.
+inline int partition_count(int segments, int nodes) {
+  return segments > 1 ? segments : std::max(1, nodes);
+}
 
 struct RunOptions {
   /// Retain the full event vector in RunResult (single-seed debugging;

@@ -27,9 +27,9 @@ class Network {
   /// carries the SYSTEM privilege (§3.5.4), so create the manager first.
   Node& add_node(NodeConfig config = {}) {
     auto mid = static_cast<Mid>(nodes_.size());
-    // Round-robin wheel affinity when the simulator is partitioned (a
-    // no-op guard otherwise): the node's kernel timers, deliveries, and
-    // client events all live on its wheel.
+    // Round-robin wheel affinity (wheel 0 on a one-partition simulator):
+    // the node's kernel timers, deliveries, and client events all live on
+    // its wheel.
     sim::ScopedPartition guard(
         sim_, static_cast<int>(mid) % sim_.partition_count());
     nodes_.push_back(

@@ -59,7 +59,7 @@ class Node final : public KernelHost {
   sim::Simulator& simulator() { return sim_; }
 
   /// Partition wheel this node's events live on (captured at construction;
-  /// 0 on an unpartitioned simulator). Fault injectors schedule their
+  /// 0 on a one-partition simulator). Fault injectors schedule their
   /// crash/reboot events here so external interventions don't register as
   /// cross-partition lookahead violations.
   int partition() const { return partition_; }

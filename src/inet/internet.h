@@ -75,8 +75,8 @@ class Internet {
   Node& add_node(int segment, NodeConfig config = {}) {
     auto& bus = *buses_.at(static_cast<std::size_t>(segment));
     const Mid mid = next_mid_++;
-    // Segment-keyed wheel affinity when the simulator is partitioned (a
-    // no-op guard otherwise). Gateways stay on wheel 0; every
+    // Segment-keyed wheel affinity (wheel 0 on a one-partition
+    // simulator). Gateways stay on wheel 0; every
     // cross-partition edge is then a bus delivery or a gateway hold,
     // both bounded below by lookahead().
     sim::ScopedPartition guard(sim_, segment % sim_.partition_count());

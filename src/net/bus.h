@@ -9,15 +9,13 @@
 // set_loss_filter() / set_dup_filter() / set_delay_filter() /
 // set_corrupt_filter() replace the random draws with predicates.
 //
-// RNG affinity (hash epoch 2): in a partitioned simulation every fault
-// draw for a delivery is taken from the *receiver's* partition stream,
-// inside a bare arrival event scheduled at +wire on the receiver's wheel.
-// The sender's stream is never consumed by another node's luck, so each
-// partition's draws are independent of the others' (doc/PERFORMANCE.md
-// §5). Unpartitioned simulations keep the historical epoch-1 send-side
-// draw order bit-for-bit. Consequence of the epoch-2 shift: loss/CRC-drop
-// trace records and fault-filter predicates observe the *arrival* time of
-// the frame, not the send time.
+// RNG affinity (hash epoch 2): every fault draw for a delivery is taken
+// from the *receiver's* partition stream, inside a bare arrival event
+// scheduled at +wire on the receiver's wheel. The sender's stream is never
+// consumed by another node's luck, so each partition's draws are
+// independent of the others' (doc/PERFORMANCE.md §5). Consequence: loss/
+// CRC-drop trace records and fault-filter predicates observe the *arrival*
+// time of the frame, not the send time.
 #pragma once
 
 #include <algorithm>
@@ -66,12 +64,9 @@ struct BusConfig {
   }
 };
 
-/// Receiver callback installed by a NIC.
-using FrameSink = std::function<void(const Frame&)>;
-
-/// Zero-copy receiver callback: the station shares the pooled frame and
-/// may retain the ref past the callback (e.g. into a deferred CPU work
-/// item) without copying the frame.
+/// Receiver callback installed by a NIC. Zero-copy: the station shares the
+/// pooled frame and may retain the ref past the callback (e.g. into a
+/// deferred CPU work item) without copying the frame.
 using FrameRefSink = std::function<void(const FrameRef&)>;
 
 /// Deterministic loss predicate: return true to drop this (frame, receiver)
@@ -113,23 +108,12 @@ class Bus {
   Bus& operator=(const Bus&) = delete;
 
   /// Attach a station. Frames addressed to `mid` or to kBroadcastMid are
-  /// delivered to `sink` after serialization + propagation delay. The
-  /// station's per-node MetricsRegistry is bound here.
-  void attach(Mid mid, FrameSink sink) {
-    stations_[mid] = Station{std::move(sink),
-                             {},
-                             &sim_.metrics().node(mid),
-                             {},
-                             sim_.current_partition()};
-  }
-
-  /// Attach a station with a zero-copy sink: the pooled frame is shared,
-  /// not copied, and the sink may keep the ref alive past the call.
+  /// delivered to `sink` after serialization + propagation delay; the
+  /// pooled frame is shared, not copied, and the sink may keep the ref
+  /// alive past the call. The station's per-node MetricsRegistry and its
+  /// wheel (the ambient partition) are bound here.
   void attach_ref(Mid mid, FrameRefSink sink) {
-    stations_[mid] = Station{{},
-                             std::move(sink),
-                             &sim_.metrics().node(mid),
-                             {},
+    stations_[mid] = Station{std::move(sink), &sim_.metrics().node(mid), {},
                              sim_.current_partition()};
   }
 
@@ -145,9 +129,9 @@ class Bus {
   /// per-delivery metadata, never a mutation. Virtual so alternative media
   /// (the posix/ UDP backend) can carry the same kernels over real sockets.
   ///
-  /// Partitioned (epoch-2) sims take no fault draws here: each receiver
-  /// gets a bare arrival event at +wire on its own wheel, and all of that
-  /// delivery's randomness comes from the receiver's partition stream.
+  /// No fault draws happen here: each receiver gets a bare arrival event
+  /// at +wire on its own wheel, and all of that delivery's randomness
+  /// comes from the receiver's partition stream.
   virtual void send_ref(FrameRef fref) {
     const Frame& frame = *fref;
     const std::size_t size = frame.wire_size();
@@ -162,61 +146,6 @@ class Bus {
       m->add(stats::Counter::kFramesSent);
       m->add(stats::Counter::kBytesSent, size);
     }
-    const bool partitioned = sim_.partitioned();
-
-    // Legacy (epoch-1) send-side fault path: every draw comes from the
-    // single shared stream, in the historical order. Unpartitioned sims
-    // stay bit-identical to pre-epoch-2 builds.
-    auto deliver_to = [&](Mid mid) {
-      const bool dropped = loss_filter_
-                               ? loss_filter_(frame, mid)
-                               : sim_.rng().chance(config_.loss_probability);
-      if (dropped) {
-        sim_.trace().record(
-            sim_.now(), sim::TraceCategory::kPacketDropped, mid,
-            stamp(trace_payload(frame).with_status(sim::TraceStatus::kLost)));
-        ++frames_lost_;
-        if (auto* m = metrics_for(mid)) m->add(stats::Counter::kFramesDropped);
-        return;
-      }
-      const bool damaged =
-          corrupt_filter_ ? corrupt_filter_(frame, mid)
-                          : sim_.rng().chance(config_.corruption_probability);
-      sim::Duration jitter = 0;
-      if (config_.delivery_jitter > 0) {
-        jitter = sim_.rng().next_range(0, config_.delivery_jitter);
-      }
-      sim::Duration shaped = 0;
-      if (delay_filter_) {
-        shaped = std::max<sim::Duration>(0, delay_filter_(frame, mid));
-      }
-      const bool duplicated =
-          dup_filter_ ? dup_filter_(frame, mid)
-                      : sim_.rng().chance(config_.duplicate_probability);
-      sim::Duration dup_lag = 0;
-      if (duplicated) {
-        // The extra copy trails the original by an independent jitter draw
-        // (drawn even when jitter is 0 so dup faults don't perturb other
-        // streams' determinism when toggled together with jitter).
-        dup_lag = sim_.rng().next_range(0, std::max<sim::Duration>(
-                                               config_.delivery_jitter, 0));
-        ++frames_duplicated_;
-      }
-      schedule_delivery(mid, fref, wire + jitter + shaped, false, damaged);
-      if (duplicated) {
-        schedule_delivery(mid, fref, wire + jitter + shaped + dup_lag, true,
-                          damaged);
-      }
-    };
-
-    auto launch = [&](Mid mid) {
-      if (partitioned) {
-        schedule_arrival(mid, fref, wire);
-      } else {
-        deliver_to(mid);
-      }
-    };
-
     if (frame.dst == kBroadcastMid) {
       for (const auto& [mid, station] : stations_) {
         if (mid == frame.src) continue;
@@ -224,10 +153,10 @@ class Bus {
           ++frames_filtered_;
           continue;  // NIC hardware filter: frame never reaches the kernel
         }
-        launch(mid);
+        schedule_arrival(mid, fref, wire);
       }
     } else {
-      launch(frame.dst);
+      schedule_arrival(frame.dst, fref, wire);
     }
   }
 
@@ -315,12 +244,12 @@ class Bus {
           ++frames_filtered_;
           continue;
         }
-        dispatch(station, f);
+        station.sink(f);
       }
       return;
     }
     auto it = stations_.find(f->dst);
-    if (it != stations_.end()) dispatch(it->second, f);
+    if (it != stations_.end()) it->second.sink(f);
   }
 
   /// Deliver a frame to one specific station's sink, leaving the frame's
@@ -328,7 +257,7 @@ class Bus {
   /// broadcast address so kernels can recognise DISCOVER queries).
   void deliver_to_one(Mid station, const FrameRef& f) {
     auto it = stations_.find(station);
-    if (it != stations_.end()) dispatch(it->second, f);
+    if (it != stations_.end()) it->second.sink(f);
   }
 
   bool station_attached(Mid mid) const { return stations_.count(mid) > 0; }
@@ -347,8 +276,7 @@ class Bus {
 
  private:
   struct Station {
-    FrameSink sink;           // legacy copying sink
-    FrameRefSink sink_ref;    // zero-copy sink; wins when installed
+    FrameRefSink sink;
     stats::MetricsRegistry* metrics = nullptr;
     InterestFilter interest;  // empty = promiscuous (receive everything)
     int partition = 0;        // wheel affinity, captured at attach
@@ -366,14 +294,6 @@ class Bus {
     return p;
   }
 
-  static void dispatch(const Station& s, const FrameRef& f) {
-    if (s.sink_ref) {
-      s.sink_ref(f);
-    } else {
-      s.sink(*f);
-    }
-  }
-
   /// Partition with wheel affinity for deliveries addressed to `mid`: the
   /// station's own, a gateway's for an absent destination, else the
   /// sender's (frame vanishes there deterministically).
@@ -385,7 +305,7 @@ class Bus {
     return sim_.current_partition();
   }
 
-  /// Epoch-2 delivery path: schedule a bare arrival event at +wire on the
+  /// Delivery path: schedule a bare arrival event at +wire on the
   /// receiver's wheel. Every fault draw for this delivery happens inside
   /// that event, from the receiver partition's stream — the sender's
   /// stream is untouched by the receiver's luck. The wire time is at least
@@ -397,8 +317,7 @@ class Bus {
   }
 
   /// Runs at +wire in the receiver's partition: take the loss/corrupt/
-  /// jitter/shaping/duplicate draws (same order as the legacy send-side
-  /// path, but from the receiver's stream and at arrival time), then
+  /// jitter/shaping/duplicate draws from the receiver's stream, then
   /// deliver inline or after the extra fault latency.
   void on_arrival(Mid mid, const FrameRef& f) {
     const Frame& frame = *f;
@@ -456,17 +375,8 @@ class Bus {
     }
   }
 
-  /// Hand `f` to station `mid` after `delay`; CRC-discard corrupted
-  /// deliveries (`damaged` is per-delivery — the shared frame is immutable).
-  /// Legacy (unpartitioned, epoch-1) path only.
-  void schedule_delivery(Mid mid, FrameRef f, sim::Duration delay,
-                         bool duplicate, bool damaged) {
-    sim_.after(delay, [this, mid, duplicate, damaged, f = std::move(f)]() {
-      finish_delivery(mid, f, duplicate, damaged);
-    });
-  }
-
-  /// Terminal delivery step, shared by both epochs. A delivery whose
+  /// Terminal delivery step; CRC-discards corrupted deliveries (`damaged`
+  /// is per-delivery — the shared frame is immutable). A delivery whose
   /// station is absent (powered off, or on another segment) goes to the
   /// relay taps instead, if any are registered.
   void finish_delivery(Mid mid, const FrameRef& f, bool duplicate,
@@ -500,7 +410,7 @@ class Bus {
     sim_.trace().record(sim_.now(), sim::TraceCategory::kPacketReceived, mid,
                         stamp(payload));
     if (auto* m = it->second.metrics) m->add(stats::Counter::kFramesReceived);
-    dispatch(it->second, f);
+    it->second.sink(f);
   }
 
   sim::Simulator& sim_;

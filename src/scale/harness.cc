@@ -261,14 +261,6 @@ std::unique_ptr<Client> make_scale_client(const HarnessOptions& o, int mid,
 
 }  // namespace
 
-const char* to_string(ExecMode m) {
-  switch (m) {
-    case ExecMode::kClassic: return "classic";
-    case ExecMode::kWindowed: return "windowed";
-  }
-  return "unknown";
-}
-
 const char* to_string(Workload w) {
   switch (w) {
     case Workload::kStarRpc: return "star_rpc";
@@ -316,14 +308,8 @@ HarnessResult run_harness(const HarnessOptions& opts) {
   }
   auto& sim = net_single ? net_single->sim() : internet->sim();
 
-  // Partition the event queue before the first node schedules anything:
-  // one wheel per segment, or per node on a single bus (every cross-
-  // partition edge is then a bus delivery or gateway hold, both >= the
-  // declared lookahead, so the violation counter stays 0).
-  const bool partitioned = o.exec_mode != ExecMode::kClassic;
-  if (partitioned) {
-    sim.enable_partitions(segments > 1 ? segments : std::max(1, o.nodes));
-  }
+  // Partition the event queue before the first node schedules anything.
+  sim.enable_partitions(chaos::partition_count(segments, o.nodes));
 
   chaos::InvariantSet invariants = chaos::InvariantSet::standard();
   std::uint64_t hash = chaos::kTraceHashSeed;
@@ -352,9 +338,14 @@ HarnessResult run_harness(const HarnessOptions& opts) {
       cfg.admit_backlog_watermark = 0;
       cfg.admit_offer_watermark = 0;
     }
-    // Pool runs measure the full anycast + load-adaptive stack; non-pool
-    // rows keep the fixed watermarks their baselines were recorded under.
-    cfg.adaptive_admission = o.pool_size > 0 && o.optimized;
+    // Optimized contention rows, pooled or not, run the whole overload
+    // stack, load-adaptive watermarks included (doc/OVERLOAD.md §3.2).
+    // With the fixed table a 64-node storm spends about a third of the
+    // server's BUSY NACKs on requests that later exhaust their retry
+    // budget, and its goodput only ties the linear ramp (EXPERIMENTS.md).
+    // The other workloads keep the fixed watermarks.
+    cfg.adaptive_admission =
+        o.workload == Workload::kContention && o.optimized;
     Node& n = net_single
                   ? net_single->add_node(std::move(cfg))
                   : internet->add_node(mid % segments, std::move(cfg));
@@ -377,10 +368,8 @@ HarnessResult run_harness(const HarnessOptions& opts) {
 
   // The lookahead and the sim.now() + slice deadlines below fix the
   // window boundaries, which are part of the epoch-2 hash contract.
-  if (partitioned) {
-    sim.set_lookahead(net_single ? net_single->bus().config().propagation
-                                 : internet->lookahead());
-  }
+  sim.set_lookahead(net_single ? net_single->bus().config().propagation
+                               : internet->lookahead());
 
   const auto wall_start = std::chrono::steady_clock::now();
   std::uint64_t executed = 0;

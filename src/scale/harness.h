@@ -26,23 +26,10 @@ enum class Workload : std::uint8_t {
   kContention,       // every client hammers ONE slow server back-to-back:
                      //   the 64-node overload case (doc/OVERLOAD.md). The
                      //   `optimized` switch flips adaptive BUSY backoff +
-                     //   kernel admission control on/off.
+                     //   load-adaptive kernel admission control on/off.
 };
 
 const char* to_string(Workload w);
-
-/// Which engine drives the run (chaos::kHashEpoch tells the two hash
-/// families apart in JSONL rows):
-///  - kClassic: the unpartitioned single-queue serial engine — the epoch-1
-///    shared-RNG-stream configuration the original baseline rows and
-///    pre-epoch-2 pinned hashes were recorded under.
-///  - kWindowed: partitioned epoch-2 reference — the simulator walks the
-///    conservative window protocol one partition at a time on the calling
-///    thread (partition-local RNG streams, receiver-side bus draws,
-///    barrier-merged traces).
-enum class ExecMode : std::uint8_t { kClassic, kWindowed };
-
-const char* to_string(ExecMode m);
 
 struct HarnessOptions {
   Workload workload = Workload::kStarRpc;
@@ -50,10 +37,10 @@ struct HarnessOptions {
   int servers = 1;          // stations running the server side
   /// Contention only: size of the anycast server pool. 0 keeps the legacy
   /// shape (one server, clients address it by MID). N > 0 boots N servers
-  /// all advertising kScalePattern, turns on load-adaptive admission at
-  /// every node, and the storm clients address the *pool*
-  /// ({kAnycastMid, kScalePattern}) so each request goes to the member
-  /// the client's kernel currently rates least shed (doc/OVERLOAD.md §4).
+  /// all advertising kScalePattern, and the storm clients address the
+  /// *pool* ({kAnycastMid, kScalePattern}) so each request goes to the
+  /// member the client's kernel currently rates least shed
+  /// (doc/OVERLOAD.md §4).
   int pool_size = 0;
   int ops_per_client = 20;  // blocking operations per load client
   /// Bus segments. 1 = the classic single broadcast bus (core::Network,
@@ -74,10 +61,6 @@ struct HarnessOptions {
   /// silence window is what collapses there, EXPERIMENTS.md).
   bool retransmit_backoff = false;
   bool check_invariants = true;
-  /// Engine selection; kWindowed partitions the event queue (one
-  /// partition per segment, or per node on a single bus) and hashes under
-  /// epoch 2 (chaos::kHashEpoch).
-  ExecMode exec_mode = ExecMode::kClassic;
   sim::Duration max_sim_time = 120 * sim::kSecond;  // hard stop
 };
 
@@ -105,8 +88,8 @@ struct HarnessResult {
   std::uint64_t cpu_busy_micros = 0;   // summed over all node CPUs
   std::uint64_t violations = 0;
   std::uint64_t trace_hash = 0;
-  /// Cross-partition schedules under the lookahead window (windowed
-  /// engine only; 0 for every shipped topology — the bench gate).
+  /// Cross-partition schedules under the lookahead window (0 for every
+  /// shipped topology — the bench gate).
   std::uint64_t lookahead_violations = 0;
   std::string first_violation;     // empty when clean
 };

@@ -159,23 +159,10 @@ class EventQueue {
   /// event (enforced by Simulator, not here).
   template <typename F>
   EventId schedule(Time at, F&& fn) {
-    return schedule_tagged(at, seq_next_, std::forward<F>(fn));
-  }
-
-  /// Schedule with an externally assigned sequence number. The partitioned
-  /// Simulator stamps every event from one global counter so that the
-  /// (time, seq) pop order reconstructed by its merge heap is identical to
-  /// the order a single queue would have produced. Tags fed to one queue
-  /// must be strictly increasing (a subsequence of a global counter is),
-  /// because same-instant FIFO append and the past-due front list rely on
-  /// seq monotonicity within the queue.
-  template <typename F>
-  EventId schedule_tagged(Time at, std::uint64_t seq, F&& fn) {
     const std::uint32_t idx = alloc_cell();
     Cell& c = cells_[idx];
     c.at = at;
-    c.seq = seq;
-    if (seq >= seq_next_) seq_next_ = seq + 1;
+    c.seq = seq_next_++;
     c.fn.assign(std::forward<F>(fn));
     if (c.fn.heap_allocated()) ++sbo_spills_;
     ++live_;
@@ -220,34 +207,6 @@ class EventQueue {
     assert(ok);
     (void)ok;
     return has_front() ? cells_[front_[front_pos_]].at : ready_time_;
-  }
-
-  /// A popped event together with its (time, seq) key. The partitioned
-  /// epoch-2 executor pops with the key so it can erase the event's
-  /// live-map entry (keyed by seq) without a second wheel lookup.
-  struct KeyedEvent {
-    Time at;
-    std::uint64_t seq;
-    EventFn fn;
-  };
-
-  /// Like pop(), but also returns the event's sequence tag.
-  KeyedEvent pop_keyed() {
-    const bool ok = prepare();
-    assert(ok);
-    (void)ok;
-    std::uint32_t idx;
-    if (has_front()) {
-      idx = front_[front_pos_++];
-    } else {
-      idx = ready_[ready_pos_++];
-    }
-    Cell& c = cells_[idx];
-    KeyedEvent out{c.at, c.seq, std::move(c.fn)};
-    retire(idx);
-    assert(live_ > 0);
-    --live_;
-    return out;
   }
 
   /// Pop and return the earliest pending event. Only valid when !empty().

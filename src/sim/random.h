@@ -1,11 +1,11 @@
 // Deterministic pseudo-random source for the simulator.
 //
 // One generator per stream keeps runs reproducible from a single seed.
-// Unpartitioned simulations own exactly one stream; partitioned (epoch-2)
-// simulations own one *per partition wheel*, split from the root seed, so
-// a partition's draw sequence is a pure function of (root_seed, partition)
-// no matter in which order the partitions of a lookahead window execute
-// (doc/PERFORMANCE.md §5).
+// The simulator owns one stream *per partition wheel*: a one-partition
+// simulator draws from the root stream Rng(seed); P > 1 partitions split
+// it into Rng(seed, p), so a partition's draw sequence is a pure function
+// of (root_seed, partition) no matter in which order the partitions of a
+// lookahead window execute (doc/PERFORMANCE.md §5).
 #pragma once
 
 #include <cassert>
@@ -24,8 +24,8 @@ class Rng {
   /// stream from the root seed by running the SplitMix64 finalizer over
   /// the (seed, partition) pair. Distinct partitions land in far-apart
   /// regions of the underlying Weyl sequence, and Rng(s, p) differs from
-  /// Rng(s) even for p == 0 — the epoch-2 contract is a different stream
-  /// family, not a relabeling of the epoch-1 one.
+  /// Rng(s) even for p == 0 — a split stream family, not a relabeling of
+  /// the root stream.
   Rng(std::uint64_t root_seed, std::uint64_t partition)
       : state_(mix(root_seed + 0x9E3779B97F4A7C15ull * (partition + 1)) ^
                mix(partition + 0x2545F4914F6CDD1Dull)) {}

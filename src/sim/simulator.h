@@ -6,11 +6,13 @@
 // traces through it. Running the simulator to quiescence executes the
 // whole distributed system deterministically.
 //
-// Partitioned mode — pinned-hash epoch 2 (doc/PERFORMANCE.md §5):
-// enable_partitions(P) splits the engine into P partition wheels, each
-// owning a private timer wheel, a private RNG stream split from the root
-// seed (Rng(seed, p)), a private local sequence counter, and a private
-// trace buffer. Execution proceeds in lookahead windows:
+// One engine — pinned-hash epoch 2 (doc/PERFORMANCE.md §5). The simulator
+// is a set of partition wheels, each owning a private timer wheel, a
+// private RNG stream and a private trace buffer. A default-constructed
+// Simulator has one partition, drawing from Rng(seed);
+// enable_partitions(P) re-splits it before anything is scheduled, and
+// partition p then draws from Rng(seed, p). Execution proceeds in
+// lookahead windows:
 //
 //   begin_window(deadline)   place the window at the earliest pending
 //                            event; collect the partitions with work in it
@@ -28,20 +30,20 @@
 // Cross-partition schedules/cancels issued *inside* a window are the only
 // inter-wheel writes; they are staged per source partition and applied at
 // the barrier, so the result is a pure function of (scenario, seed,
-// lookahead, run_until deadlines). run_until/run walk the protocol one
-// partition at a time on the calling thread; a Simulator is only ever
-// touched by one thread.
+// lookahead, run_until deadlines). With one partition there is no such
+// edge, so its window runs straight to the deadline and the clock follows
+// each event, exactly like a plain event loop. run_until/run walk the
+// protocol one partition at a time on the calling thread; a Simulator is
+// only ever touched by one thread.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -53,64 +55,90 @@
 
 namespace soda::sim {
 
+/// Layout of a Simulator EventId: the partition wheel's own id (cell index
+/// in the low 32 bits, the cell's full 32-bit generation in the high 32),
+/// with the partition number in the top bits of the cell field — as few
+/// as number every partition. A one-partition simulator spends no bits on
+/// the partition, so its ids are the wheel's ids. Both bounds throw
+/// std::length_error instead of wrapping: more than 2^kMaxPartitionBits
+/// partitions, or a partition whose slab outgrows the cell bits left over.
+class EventIdLayout {
+ public:
+  static constexpr int kMaxPartitionBits = 16;
+
+  explicit EventIdLayout(int partitions = 1) {
+    const int bits =
+        std::bit_width(static_cast<std::uint32_t>(partitions - 1));
+    if (bits > kMaxPartitionBits) {
+      throw std::length_error("more partitions than an EventId can number");
+    }
+    cell_bits_ = 32 - bits;
+    part_mask_ = kCellField & ~((std::uint64_t{1} << cell_bits_) - 1);
+  }
+
+  /// Tag wheel id `wheel_id` with partition `part`.
+  EventId pack(int part, EventId wheel_id) const {
+    if ((wheel_id & part_mask_) != 0) {
+      throw std::length_error(
+          "partition holds more event cells than its EventId field numbers");
+    }
+    return wheel_id | (static_cast<EventId>(part) << cell_bits_);
+  }
+  int partition(EventId id) const {
+    return static_cast<int>((id & part_mask_) >> cell_bits_);
+  }
+  EventId wheel_id(EventId id) const { return id & ~part_mask_; }
+
+ private:
+  static constexpr std::uint64_t kCellField = 0xffffffffu;
+  int cell_bits_ = 32;
+  std::uint64_t part_mask_ = 0;
+};
+
 class Simulator {
  public:
-  explicit Simulator(std::uint64_t seed = 1) : seed_(seed), rng_(seed) {}
+  explicit Simulator(std::uint64_t seed = 1) : seed_(seed) { split(1); }
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   Time now() const { return now_; }
 
-  /// The RNG stream for the ambient partition: the root stream on an
-  /// unpartitioned simulator, the partition-affine split stream otherwise.
-  /// During window execution a callback may only draw from the stream of
-  /// the partition it executes on — that independence is the epoch-2
-  /// contract that makes each stream a pure function of its partition.
+  /// The RNG stream of the ambient partition. During window execution a
+  /// callback may only draw from the stream of the partition it executes
+  /// on — that independence is the epoch-2 contract that makes each stream
+  /// a pure function of its partition.
   Rng& rng() {
-    if (part_ == nullptr) return rng_;
-    assert((part_->executing < 0 || part_->current == part_->executing) &&
+    assert((executing_ < 0 || current_ == executing_) &&
            "RNG draw under a foreign ScopedPartition during execution");
-    return part_->parts[static_cast<std::size_t>(part_->current)].rng;
+    return parts_[static_cast<std::size_t>(current_)].rng;
   }
 
   Trace& trace() { return trace_; }
   stats::MetricsHub& metrics() { return metrics_; }
   const stats::MetricsHub& metrics() const { return metrics_; }
 
-  /// Split the engine into `count` partition wheels. Must be called before
-  /// anything is scheduled — every partition's RNG stream and sequence
-  /// space exist from birth.
+  /// Re-split the engine into `count` partition wheels. Must be called
+  /// before anything is scheduled — every partition's RNG stream and
+  /// wheel exist from birth.
   void enable_partitions(int count) {
     if (count < 1) throw std::logic_error("partition count must be >= 1");
-    if (part_ != nullptr) throw std::logic_error("partitions already enabled");
-    if (queue_.scheduled_total() != 0) {
+    if (events_scheduled() != 0) {
       throw std::logic_error("enable_partitions after events were scheduled");
     }
-    part_ = std::make_unique<Partitioned>();
-    part_->parts = std::vector<Part>(static_cast<std::size_t>(count));
-    for (int p = 0; p < count; ++p) {
-      part_->parts[static_cast<std::size_t>(p)].rng =
-          Rng(seed_, static_cast<std::uint64_t>(p));
-    }
+    split(count);
   }
 
-  bool partitioned() const { return part_ != nullptr; }
-  int partition_count() const {
-    return part_ == nullptr ? 1 : static_cast<int>(part_->parts.size());
-  }
+  int partition_count() const { return static_cast<int>(parts_.size()); }
 
   /// Ambient partition for newly scheduled events. Defaults to the
   /// partition of the currently executing callback (events inherit their
   /// executor's wheel); topology code pins it with ScopedPartition while
   /// constructing nodes or addressing another component's wheel.
-  int current_partition() const {
-    return part_ == nullptr ? 0 : part_->current;
-  }
+  int current_partition() const { return current_; }
   void set_current_partition(int p) {
-    if (part_ == nullptr) return;
     assert(p >= 0 && p < partition_count());
-    part_->current = p;
+    current_ = p;
   }
 
   /// Conservative lookahead: the minimum cross-partition latency the
@@ -121,14 +149,10 @@ class Simulator {
   /// order. A cross-partition schedule closer than the lookahead is
   /// counted as a violation and lands — deterministically — at the next
   /// window boundary instead of its nominal time (bounded-late delivery).
-  void set_lookahead(Duration d) {
-    if (part_ != nullptr) part_->lookahead = d;
-  }
-  Duration lookahead() const { return part_ == nullptr ? 0 : part_->lookahead; }
+  void set_lookahead(Duration d) { lookahead_ = d; }
   std::uint64_t lookahead_violations() const {
-    if (part_ == nullptr) return 0;
     std::uint64_t v = 0;
-    for (const Part& p : part_->parts) v += p.violations;
+    for (const Part& p : parts_) v += p.violations;
     return v;
   }
 
@@ -148,47 +172,34 @@ class Simulator {
     return schedule_abs(when, when - base, std::forward<F>(fn));
   }
 
+  /// Cancel a scheduled event. Cancelling an event that already ran, was
+  /// already cancelled, or whose wheel cell has since been reused is a
+  /// no-op: the wheel checks the id's full generation.
   void cancel(EventId id) {
-    if (part_ == nullptr) {
-      queue_.cancel(id);
-      return;
-    }
     if (id == 0) return;  // default-initialized / staged-schedule sentinel
-    const int target = static_cast<int>(id >> kPartShift) - 1;
-    const std::uint64_t lseq = id & kLseqMask;
-    if (target < 0 || target >= partition_count()) return;
-    const int executing = part_->executing;
-    if (executing >= 0 && target != executing) {
+    const int target = ids_.partition(id);
+    if (target >= partition_count()) return;
+    if (executing_ >= 0 && target != executing_) {
       // Cross-partition cancel from inside a window: stage it for the
       // barrier, so the outcome does not depend on whether the target
       // partition executes before or after this one. If the event fires
       // within this same window the cancel arrives too late.
-      Part& src = part_->parts[static_cast<std::size_t>(executing)];
       StagedOp op;
       op.cancel = true;
       op.target = target;
-      op.lseq = lseq;
-      src.staged.push_back(std::move(op));
+      op.id = ids_.wheel_id(id);
+      parts_[static_cast<std::size_t>(executing_)].staged.push_back(
+          std::move(op));
       return;
     }
-    apply_cancel(target, lseq);
+    parts_[static_cast<std::size_t>(target)].queue.cancel(ids_.wheel_id(id));
   }
 
   /// Run events until the queue drains or `deadline` is reached (whichever
   /// first). Returns the number of events executed.
   std::size_t run_until(Time deadline) {
     std::size_t n = 0;
-    if (part_ == nullptr) {
-      while (!queue_.empty() && queue_.next_time() <= deadline) {
-        step();
-        ++n;
-      }
-    } else {
-      while (begin_window(deadline)) {
-        for (int p : part_->active) execute_partition_window(p);
-        n += commit_window();
-      }
-    }
+    while (begin_window(deadline)) n += run_window(kUnlimited);
     if (now_ < deadline) now_ = deadline;
     return n;
   }
@@ -197,46 +208,19 @@ class Simulator {
   /// with an event-count limit.
   std::size_t run(std::size_t max_events = 100'000'000) {
     std::size_t n = 0;
-    if (part_ == nullptr) {
-      while (!queue_.empty()) {
-        step();
-        if (++n > max_events) throw std::runtime_error("simulation runaway");
-      }
-    } else {
-      while (begin_window(kNever)) {
-        for (int p : part_->active) execute_partition_window(p);
-        n += commit_window();
-        if (n > max_events) throw std::runtime_error("simulation runaway");
-      }
+    while (begin_window(kNever)) {
+      const std::size_t left = max_events - n;
+      n += run_window(left == kUnlimited ? kUnlimited : left + 1);
+      if (n > max_events) throw std::runtime_error("simulation runaway");
     }
     return n;
   }
 
   bool idle() const {
-    if (part_ == nullptr) return queue_.empty();
-    for (const Part& p : part_->parts) {
-      if (!p.live.empty()) return false;
+    for (const Part& p : parts_) {
+      if (!p.queue.empty()) return false;
     }
     return true;
-  }
-
-  /// Earliest pending event time across all partitions (nullopt when
-  /// idle). This is where the next window will be placed.
-  std::optional<Time> next_event_time() {
-    if (part_ == nullptr) {
-      if (queue_.empty()) return std::nullopt;
-      return queue_.next_time();
-    }
-    Partitioned& ps = *part_;
-    while (!ps.heap.empty()) {
-      const HeapEntry top = ps.heap.front();
-      if (ps.parts[static_cast<std::size_t>(top.part)].next_cache == top.at) {
-        return top.at;
-      }
-      std::pop_heap(ps.heap.begin(), ps.heap.end(), heap_after);
-      ps.heap.pop_back();
-    }
-    return std::nullopt;
   }
 
   // ---- The epoch-2 window protocol -------------------------------------
@@ -245,82 +229,49 @@ class Simulator {
   // them directly to time each step.
 
   /// Place the next execution window: start at the earliest pending event,
-  /// extend by max(lookahead, 1) (truncated at `deadline`), and collect
-  /// every partition with events inside it. Returns false when nothing is
-  /// pending at or before `deadline`.
+  /// extend by max(lookahead, 1) (truncated at `deadline`; a one-partition
+  /// window always reaches `deadline`), and collect every partition with
+  /// events inside it. Returns false when nothing is pending at or before
+  /// `deadline`.
   bool begin_window(Time deadline) {
-    Partitioned& ps = *part_;
-    assert(!ps.in_window && ps.active.empty());
+    assert(!in_window_ && active_.empty());
     const std::optional<Time> start = next_event_time();
     if (!start || *start > deadline) return false;
-    const Duration width = std::max<Duration>(ps.lookahead, 1);
-    const Time we =
-        deadline - *start > width - 1 ? *start + width - 1 : deadline;
-    while (!ps.heap.empty()) {
-      const HeapEntry top = ps.heap.front();
+    Time we = deadline;
+    if (parts_.size() > 1) {
+      const Duration width = std::max<Duration>(lookahead_, 1);
+      if (deadline - *start > width - 1) we = *start + width - 1;
+    }
+    while (!heap_.empty()) {
+      const HeapEntry top = heap_.front();
       if (top.at > we) break;
-      std::pop_heap(ps.heap.begin(), ps.heap.end(), heap_after);
-      ps.heap.pop_back();
-      Part& p = ps.parts[static_cast<std::size_t>(top.part)];
+      std::pop_heap(heap_.begin(), heap_.end(), heap_after);
+      heap_.pop_back();
+      Part& p = parts_[static_cast<std::size_t>(top.part)];
       if (p.next_cache != top.at || p.in_window) continue;  // stale / dup
       p.in_window = true;
-      ps.active.push_back(top.part);
+      active_.push_back(top.part);
     }
-    std::sort(ps.active.begin(), ps.active.end());
-    ps.window_end = we;
-    ps.in_window = true;
+    std::sort(active_.begin(), active_.end());
+    window_end_ = we;
+    in_window_ = true;
     return true;
   }
 
   /// Partitions collected by begin_window, ascending. Valid until the
   /// matching commit_window.
-  const std::vector<int>& window_partitions() const { return part_->active; }
-
-  /// Time the current window closes at (valid between begin_window and
-  /// commit_window).
-  Time window_end() const { return part_->window_end; }
+  const std::vector<int>& window_partitions() const { return active_; }
 
   /// Execute partition `p`'s events inside the current window, in (time,
-  /// local seq) order. Touches only partition-local state (wheel, RNG
-  /// stream, live map, staging list, trace buffer), so the partitions of
-  /// one window may execute in any order. Same-partition schedules apply
-  /// immediately (and run in this window if they land inside it);
-  /// cross-partition schedules and cancels are staged for commit_window.
-  /// The clock and ambient partition are restored on return, so between
-  /// windows now() is the last committed window end.
+  /// schedule order). Touches only partition-local state (wheel, RNG
+  /// stream, staging list, trace buffer), so the partitions of one window
+  /// may execute in any order. Same-partition schedules apply immediately
+  /// (and run in this window if they land inside it); cross-partition
+  /// schedules and cancels are staged for commit_window. The ambient
+  /// partition is restored on return; with several partitions so is the
+  /// clock, so between windows now() is the last committed window end.
   void execute_partition_window(int part) {
-    Partitioned& ps = *part_;
-    Part& p = ps.parts[static_cast<std::size_t>(part)];
-    const Time we = ps.window_end;
-    const Time saved_now = now_;
-    const int saved_current = ps.current;
-    ps.executing = part;
-    trace_.set_buffer(&p.buffer);
-    auto leave = [&] {
-      trace_.set_buffer(nullptr);
-      ps.executing = -1;
-      ps.current = saved_current;
-      now_ = saved_now;
-    };
-    std::size_t n = 0;
-    try {
-      while (!p.queue.empty() && p.queue.next_time() <= we) {
-        EventQueue::KeyedEvent ev = p.queue.pop_keyed();
-        p.live.erase(ev.seq);
-        now_ = ev.at;
-        ps.current = part;  // events inherit their executor's wheel
-        ev.fn();
-        ++n;
-      }
-    } catch (...) {
-      // The simulation is not resumable after a throwing callback; only
-      // leave the simulator's ambient state consistent for teardown.
-      leave();
-      throw;
-    }
-    p.executed_window = n;
-    p.next_cache = p.queue.empty() ? kNever : p.queue.next_time();
-    leave();
+    execute_partition_window(part, kUnlimited);
   }
 
   /// Window barrier. Applies the staged cross-partition operations in
@@ -328,19 +279,19 @@ class Simulator {
   /// order serial execution produces them in), stable-merges the window's
   /// per-partition trace buffers by (time, partition) into the real trace
   /// sink, refreshes the window heap, and advances the clock to the
-  /// window end. Returns the number of events executed in the window.
+  /// window end (one partition: the clock stays at its last event).
+  /// Returns the number of events executed in the window.
   std::size_t commit_window() {
-    Partitioned& ps = *part_;
-    assert(ps.in_window);
-    const Time we = ps.window_end;
+    assert(in_window_);
+    const Time we = window_end_;
     std::size_t executed = 0;
-    for (int part : ps.active) {
-      Part& p = ps.parts[static_cast<std::size_t>(part)];
+    for (int part : active_) {
+      Part& p = parts_[static_cast<std::size_t>(part)];
       executed += p.executed_window;
       p.executed_window = 0;
       for (StagedOp& op : p.staged) {
         if (op.cancel) {
-          apply_cancel(op.target, op.lseq);
+          parts_[static_cast<std::size_t>(op.target)].queue.cancel(op.id);
         } else {
           // A staged schedule aimed inside the closing window (a lookahead
           // violation) lands at the next window boundary instead — late by
@@ -352,14 +303,14 @@ class Simulator {
       p.staged.clear();
     }
     commit_traces();
-    for (int part : ps.active) {
-      Part& p = ps.parts[static_cast<std::size_t>(part)];
+    for (int part : active_) {
+      Part& p = parts_[static_cast<std::size_t>(part)];
       p.in_window = false;
       if (p.next_cache != kNever) heap_push(p.next_cache, part);
     }
-    ps.active.clear();
-    ps.in_window = false;
-    now_ = we;
+    active_.clear();
+    in_window_ = false;
+    if (parts_.size() > 1) now_ = we;
     return executed;
   }
 
@@ -368,41 +319,36 @@ class Simulator {
   /// Lifetime scheduling totals (see EventQueue) — the bench harness uses
   /// these as a deterministic proxy for timer-bookkeeping cost.
   std::uint64_t events_scheduled() const {
-    if (part_ == nullptr) return queue_.scheduled_total();
     std::uint64_t n = 0;
-    for (const Part& p : part_->parts) n += p.lseq_next;
+    for (const Part& p : parts_) n += p.queue.scheduled_total();
     return n;
   }
   std::uint64_t events_cancelled() const {
-    if (part_ == nullptr) return queue_.cancelled_total();
     std::uint64_t n = 0;
-    for (const Part& p : part_->parts) n += p.cancelled;
+    for (const Part& p : parts_) n += p.queue.cancelled_total();
     return n;
   }
 
  private:
   static constexpr Time kNever = std::numeric_limits<Time>::max();
-  static constexpr int kPartShift = 40;
-  static constexpr EventId kLseqMask = (EventId{1} << kPartShift) - 1;
+  static constexpr std::size_t kUnlimited =
+      std::numeric_limits<std::size_t>::max();
 
   /// A cross-partition operation issued while a window executes, applied
   /// at the barrier.
   struct StagedOp {
     bool cancel = false;
     int target = 0;
-    Time when = 0;        // schedule: absolute target time
-    std::uint64_t lseq = 0;  // cancel: target-partition local seq
-    EventFn fn;           // schedule payload
+    Time when = 0;    // schedule: absolute target time
+    EventId id = 0;   // cancel: the target wheel's own id
+    EventFn fn;       // schedule payload
   };
 
   /// Per-partition execution state.
   struct Part {
     EventQueue queue;
     Rng rng{0};
-    std::uint64_t lseq_next = 0;
-    std::uint64_t cancelled = 0;
     std::uint64_t violations = 0;
-    std::unordered_map<std::uint64_t, EventId> live;  // lseq -> wheel id
     std::vector<StagedOp> staged;
     std::vector<TraceEvent> buffer;  // window trace buffer
     std::size_t executed_window = 0;
@@ -422,44 +368,98 @@ class Simulator {
     return a.part > b.part;
   }
 
-  struct Partitioned {
-    std::vector<Part> parts;
-    std::vector<HeapEntry> heap;  // lazy min-heap of partition heads
-    std::vector<int> active;      // partitions in the current window
-    Duration lookahead = 0;
-    Time window_end = 0;
-    bool in_window = false;
-    int current = 0;     // ambient partition for new schedules
-    int executing = -1;  // partition inside execute_partition_window, or -1
-  };
+  /// Replace the partition set. One partition keeps the root stream
+  /// Rng(seed); several split it into Rng(seed, p).
+  void split(int count) {
+    ids_ = EventIdLayout(count);
+    parts_ = std::vector<Part>(static_cast<std::size_t>(count));
+    for (int p = 0; p < count; ++p) {
+      parts_[static_cast<std::size_t>(p)].rng =
+          count == 1 ? Rng(seed_) : Rng(seed_, static_cast<std::uint64_t>(p));
+    }
+    heap_.clear();
+    current_ = 0;
+  }
 
-  static EventId outer_id(int part, std::uint64_t lseq) {
-    assert(lseq <= kLseqMask);
-    return (static_cast<EventId>(part + 1) << kPartShift) | lseq;
+  /// Earliest pending event time across all partitions (nullopt when
+  /// idle). This is where the next window will be placed.
+  std::optional<Time> next_event_time() {
+    while (!heap_.empty()) {
+      const HeapEntry top = heap_.front();
+      if (parts_[static_cast<std::size_t>(top.part)].next_cache == top.at) {
+        return top.at;
+      }
+      std::pop_heap(heap_.begin(), heap_.end(), heap_after);
+      heap_.pop_back();
+    }
+    return std::nullopt;
   }
 
   void heap_push(Time at, int part) {
-    Partitioned& ps = *part_;
-    ps.heap.push_back(HeapEntry{at, part});
-    std::push_heap(ps.heap.begin(), ps.heap.end(), heap_after);
+    heap_.push_back(HeapEntry{at, part});
+    std::push_heap(heap_.begin(), heap_.end(), heap_after);
+  }
+
+  std::size_t run_window(std::size_t budget) {
+    for (int p : active_) execute_partition_window(p, budget);
+    return commit_window();
+  }
+
+  /// execute_partition_window, stopping after `budget` events (run()'s
+  /// runaway guard).
+  void execute_partition_window(int part, std::size_t budget) {
+    Part& p = parts_[static_cast<std::size_t>(part)];
+    const Time we = window_end_;
+    const bool single = parts_.size() == 1;
+    const Time saved_now = now_;
+    const int saved_current = current_;
+    executing_ = part;
+    // A one-partition simulator records straight into the sink: there is
+    // nothing to merge. With several partitions every record waits for
+    // commit_window, even in a window only one of them is active in, so
+    // observer calls always run at the barrier.
+    if (!single) trace_.set_buffer(&p.buffer);
+    auto leave = [&] {
+      trace_.set_buffer(nullptr);
+      executing_ = -1;
+      current_ = saved_current;
+      if (!single) now_ = saved_now;
+    };
+    std::size_t n = 0;
+    try {
+      while (n < budget && !p.queue.empty() &&
+             (we == kNever || p.queue.next_time() <= we)) {
+        auto [at, fn] = p.queue.pop();
+        now_ = at;
+        current_ = part;  // events inherit their executor's wheel
+        fn();
+        ++n;
+      }
+    } catch (...) {
+      // The simulation is not resumable after a throwing callback; only
+      // leave the simulator's ambient state consistent for teardown.
+      leave();
+      throw;
+    }
+    p.executed_window = n;
+    p.next_cache = p.queue.empty() ? kNever : p.queue.next_time();
+    leave();
   }
 
   template <typename F>
   EventId schedule_abs(Time when, Duration delay, F&& fn) {
-    if (part_ == nullptr) return queue_.schedule(when, std::forward<F>(fn));
-    const int executing = part_->executing;
-    const int target = part_->current;
-    if (executing >= 0) {
-      if (target == executing) {
+    const int target = current_;
+    if (executing_ >= 0) {
+      if (target == executing_) {
         // Same-partition: apply directly. No heap push — the partition is
         // active in this window and commit_window re-pushes its head.
-        return apply_schedule_local(target, when, std::forward<F>(fn));
+        return insert(target, when, std::forward<F>(fn));
       }
       // Cross-partition from inside a window: stage for the barrier. The
       // returned id is 0 — the event cannot be cancelled until it has
       // materialized in the target wheel (after the next barrier).
-      Part& src = part_->parts[static_cast<std::size_t>(executing)];
-      if (delay < part_->lookahead) ++src.violations;
+      Part& src = parts_[static_cast<std::size_t>(executing_)];
+      if (delay < lookahead_) ++src.violations;
       StagedOp op;
       op.target = target;
       op.when = when;
@@ -474,31 +474,19 @@ class Simulator {
   /// outside window execution (at the barrier, or from top-level code).
   template <typename F>
   EventId apply_schedule(int target, Time when, F&& fn) {
-    const EventId id = apply_schedule_local(target, when, std::forward<F>(fn));
-    Part& p = part_->parts[static_cast<std::size_t>(target)];
+    const EventId id = insert(target, when, std::forward<F>(fn));
+    Part& p = parts_[static_cast<std::size_t>(target)];
     // The heap needs an entry matching the (possibly improved) head.
     if (p.next_cache == when && !p.in_window) heap_push(when, target);
     return id;
   }
 
   template <typename F>
-  EventId apply_schedule_local(int target, Time when, F&& fn) {
-    Part& p = part_->parts[static_cast<std::size_t>(target)];
-    const std::uint64_t lseq = p.lseq_next++;
-    const EventId inner =
-        p.queue.schedule_tagged(when, lseq, std::forward<F>(fn));
-    p.live.emplace(lseq, inner);
+  EventId insert(int target, Time when, F&& fn) {
+    Part& p = parts_[static_cast<std::size_t>(target)];
+    const EventId wheel_id = p.queue.schedule(when, std::forward<F>(fn));
     if (when < p.next_cache) p.next_cache = when;
-    return outer_id(target, lseq);
-  }
-
-  void apply_cancel(int target, std::uint64_t lseq) {
-    Part& p = part_->parts[static_cast<std::size_t>(target)];
-    auto it = p.live.find(lseq);
-    if (it == p.live.end()) return;  // already fired or cancelled
-    p.queue.cancel(it->second);
-    p.live.erase(it);
-    ++p.cancelled;
+    return ids_.pack(target, wheel_id);
   }
 
   /// Stable-merge the window's per-partition trace buffers by (time,
@@ -507,11 +495,10 @@ class Simulator {
   /// canonical epoch-2 commit order — then replay through the real sink
   /// (observer, retention, counters).
   void commit_traces() {
-    Partitioned& ps = *part_;
     std::vector<TraceEvent>* only = nullptr;
     std::size_t total = 0;
-    for (int part : ps.active) {
-      Part& p = ps.parts[static_cast<std::size_t>(part)];
+    for (int part : active_) {
+      Part& p = parts_[static_cast<std::size_t>(part)];
       if (p.buffer.empty()) continue;
       total += p.buffer.size();
       only = &p.buffer;
@@ -524,8 +511,8 @@ class Simulator {
     }
     merged_.clear();
     merged_.reserve(total);
-    for (int part : ps.active) {
-      Part& p = ps.parts[static_cast<std::size_t>(part)];
+    for (int part : active_) {
+      Part& p = parts_[static_cast<std::size_t>(part)];
       merged_.insert(merged_.end(), p.buffer.begin(), p.buffer.end());
       p.buffer.clear();
     }
@@ -535,27 +522,26 @@ class Simulator {
     for (const TraceEvent& e : merged_) trace_.commit(e);
   }
 
-  void step() {
-    auto [at, fn] = queue_.pop();
-    assert(at >= now_);
-    now_ = at;
-    fn();
-  }
-
   std::uint64_t seed_;
   Time now_ = 0;
-  EventQueue queue_;
-  Rng rng_;
   Trace trace_;
   stats::MetricsHub metrics_;
-  std::unique_ptr<Partitioned> part_;
+  std::vector<Part> parts_;
+  EventIdLayout ids_;
+  std::vector<HeapEntry> heap_;  // lazy min-heap of partition heads
+  std::vector<int> active_;      // partitions in the current window
+  Duration lookahead_ = 0;
+  Time window_end_ = 0;
+  bool in_window_ = false;
+  int current_ = 0;     // ambient partition for new schedules
+  int executing_ = -1;  // partition inside execute_partition_window, or -1
   std::vector<TraceEvent> merged_;  // commit_traces scratch
 };
 
 /// Pin the ambient partition for the current scope: topology constructors
 /// (node roots) and fault injectors wrap themselves in one so events land
-/// on the wheel of the component that owns them. A no-op on an
-/// unpartitioned simulator.
+/// on the wheel of the component that owns them. A no-op on a
+/// one-partition simulator.
 class ScopedPartition {
  public:
   ScopedPartition(Simulator& sim, int partition)

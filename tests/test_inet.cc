@@ -476,9 +476,8 @@ TEST(InetChaos, BuiltinFamilyHoldsInvariants) {
 TEST(InetScale, TwoSegmentThousandNodeStarRpcCompletes) {
   // The acceptance tier: 1024 stations split across two segments, every
   // client's traffic crossing the hub gateway, 100% completion with zero
-  // invariant violations and zero relay drops. Driven by the epoch-2
-  // windowed reference engine (the canonical mode since the RNG wall
-  // broke). This workload sits at the edge of the BUSY retry budget —
+  // invariant violations and zero relay drops, on the epoch-2 window
+  // protocol (one partition per segment). This workload sits at the edge of the BUSY retry budget —
   // roughly half of all seeds leave one or two clients a retry short —
   // so the seed is one that completes, re-picked alongside the epoch-2
   // hash re-pin when the partition-local RNG streams re-randomized which
@@ -494,7 +493,6 @@ TEST(InetScale, TwoSegmentThousandNodeStarRpcCompletes) {
   o.fast = true;
   o.optimized = true;
   o.retransmit_backoff = true;
-  o.exec_mode = scale::ExecMode::kWindowed;
   const scale::HarnessResult r = run_harness(o);
   EXPECT_EQ(r.ops_done, r.ops_expected);
   EXPECT_EQ(r.violations, 0u) << r.first_violation;

@@ -49,7 +49,7 @@ TEST(Bus, DeliversAfterSerializationDelay) {
   BusConfig cfg;
   Bus bus(s, cfg);
   sim::Time delivered_at = -1;
-  bus.attach(2, [&](const Frame&) { delivered_at = s.now(); });
+  bus.attach_ref(2, [&](const FrameRef&) { delivered_at = s.now(); });
   Frame f = small_frame(1, 2);
   const auto wire = static_cast<sim::Duration>(f.wire_size()) *
                         cfg.us_per_byte +
@@ -63,8 +63,8 @@ TEST(Bus, UnicastDoesNotReachOthers) {
   sim::Simulator s;
   Bus bus(s, BusConfig{});
   int at2 = 0, at3 = 0;
-  bus.attach(2, [&](const Frame&) { ++at2; });
-  bus.attach(3, [&](const Frame&) { ++at3; });
+  bus.attach_ref(2, [&](const FrameRef&) { ++at2; });
+  bus.attach_ref(3, [&](const FrameRef&) { ++at3; });
   bus.send(small_frame(1, 2));
   s.run();
   EXPECT_EQ(at2, 1);
@@ -75,9 +75,9 @@ TEST(Bus, BroadcastReachesAllButSender) {
   sim::Simulator s;
   Bus bus(s, BusConfig{});
   int at1 = 0, at2 = 0, at3 = 0;
-  bus.attach(1, [&](const Frame&) { ++at1; });
-  bus.attach(2, [&](const Frame&) { ++at2; });
-  bus.attach(3, [&](const Frame&) { ++at3; });
+  bus.attach_ref(1, [&](const FrameRef&) { ++at1; });
+  bus.attach_ref(2, [&](const FrameRef&) { ++at2; });
+  bus.attach_ref(3, [&](const FrameRef&) { ++at3; });
   bus.send(small_frame(1, kBroadcastMid));
   s.run();
   EXPECT_EQ(at1, 0);  // a station does not hear its own broadcast
@@ -91,7 +91,7 @@ TEST(Bus, LossDropsFrames) {
   cfg.loss_probability = 1.0;
   Bus bus(s, cfg);
   int got = 0;
-  bus.attach(2, [&](const Frame&) { ++got; });
+  bus.attach_ref(2, [&](const FrameRef&) { ++got; });
   for (int i = 0; i < 10; ++i) bus.send(small_frame(1, 2));
   s.run();
   EXPECT_EQ(got, 0);
@@ -104,7 +104,7 @@ TEST(Bus, CorruptionDiscardsAfterCrc) {
   cfg.corruption_probability = 1.0;
   Bus bus(s, cfg);
   int got = 0;
-  bus.attach(2, [&](const Frame&) { ++got; });
+  bus.attach_ref(2, [&](const FrameRef&) { ++got; });
   bus.send(small_frame(1, 2));
   s.run();
   // The frame consumed wire time but the receiving interface dropped it.
@@ -119,7 +119,7 @@ TEST(Bus, PartialLossStatistically) {
   cfg.loss_probability = 0.5;
   Bus bus(s, cfg);
   int got = 0;
-  bus.attach(2, [&](const Frame&) { ++got; });
+  bus.attach_ref(2, [&](const FrameRef&) { ++got; });
   for (int i = 0; i < 400; ++i) bus.send(small_frame(1, 2));
   s.run();
   EXPECT_GT(got, 120);
@@ -130,7 +130,7 @@ TEST(Bus, DetachedStationHearsNothing) {
   sim::Simulator s;
   Bus bus(s, BusConfig{});
   int got = 0;
-  bus.attach(2, [&](const Frame&) { ++got; });
+  bus.attach_ref(2, [&](const FrameRef&) { ++got; });
   bus.detach(2);
   bus.send(small_frame(1, 2));
   s.run();
@@ -140,7 +140,7 @@ TEST(Bus, DetachedStationHearsNothing) {
 TEST(Bus, StatsAccumulateAndReset) {
   sim::Simulator s;
   Bus bus(s, BusConfig{});
-  bus.attach(2, [](const Frame&) {});
+  bus.attach_ref(2, [](const FrameRef&) {});
   Frame f = small_frame(1, 2);
   bus.send(f);
   bus.send(f);
@@ -155,7 +155,7 @@ TEST(Bus, DupFilterDeliversSecondCopy) {
   sim::Simulator s;
   Bus bus(s, BusConfig{});
   int deliveries = 0;
-  bus.attach(2, [&](const Frame&) { ++deliveries; });
+  bus.attach_ref(2, [&](const FrameRef&) { ++deliveries; });
   bus.set_dup_filter([](const Frame&, Mid dst) { return dst == 2; });
   bus.send(small_frame(1, 2));
   s.run();
@@ -169,7 +169,7 @@ TEST(Bus, DupFilterDecliningMeansSingleDelivery) {
   cfg.duplicate_probability = 1.0;  // filter overrides the random draw
   Bus bus(s, cfg);
   int deliveries = 0;
-  bus.attach(2, [&](const Frame&) { ++deliveries; });
+  bus.attach_ref(2, [&](const FrameRef&) { ++deliveries; });
   bus.set_dup_filter([](const Frame&, Mid) { return false; });
   bus.send(small_frame(1, 2));
   s.run();
@@ -182,7 +182,7 @@ TEST(Bus, DelayFilterAddsShapedLatency) {
   BusConfig cfg;
   Bus bus(s, cfg);
   sim::Time delivered_at = -1;
-  bus.attach(2, [&](const Frame&) { delivered_at = s.now(); });
+  bus.attach_ref(2, [&](const FrameRef&) { delivered_at = s.now(); });
   bus.set_delay_filter(
       [](const Frame&, Mid) { return sim::Duration{1500}; });
   Frame f = small_frame(1, 2);
@@ -205,7 +205,7 @@ TEST(FramePool, ScheduledDeliveryOutlivesItsBus) {
     sim::Simulator s;
     {
       Bus bus(s, BusConfig{});
-      bus.attach(2, [&](const Frame&) { ++delivered; });
+      bus.attach_ref(2, [&](const FrameRef&) { ++delivered; });
       bus.send(small_frame(1, 2));
       bus.send(small_frame(1, kBroadcastMid));
     }
@@ -237,8 +237,8 @@ TEST(FramePool, SteadyTrafficRecyclesNodes) {
   sim::Simulator s;
   Bus bus(s, BusConfig{});
   int delivered = 0;
-  bus.attach(2, [&](const Frame&) { ++delivered; });
-  bus.attach(3, [&](const Frame&) { ++delivered; });
+  bus.attach_ref(2, [&](const FrameRef&) { ++delivered; });
+  bus.attach_ref(3, [&](const FrameRef&) { ++delivered; });
   int sends = 0;
   bus.set_loss_filter([&sends](const Frame&, Mid) { return ++sends % 3 == 0; });
   constexpr int kRounds = 500, kBurst = 4;

@@ -8,23 +8,26 @@
 //
 // The proof is differential:
 //   1. a naive std::priority_queue reference model ordered by (time, seq)
-//      — small enough to be obviously correct — pins the unpartitioned
-//      wheel and the 1-partition windowed walk, including the wheel's
-//      edge cases (past-due scheduling, overflow-list rebasing, cancels
-//      of already-fired events, double cancels);
+//      — small enough to be obviously correct — pins the one-partition
+//      walk, including the wheel's edge cases (past-due scheduling,
+//      overflow-list rebasing, cancels of already-fired events, double
+//      cancels);
 //   2. seed-randomized schedule/cancel/run_until storms hold the
 //      multi-partition windowed walk to the reference's events and firing
 //      times at width-1 windows, and make wider windows exercise the
 //      staged-violation clamp;
 //   3. fault injection pins the staged-violation rule: a cross-partition
 //      schedule under the declared lookahead is counted AND lands exactly
-//      at the next window boundary.
+//      at the next window boundary;
+//   4. event ids: a stale id never cancels the event that reused its
+//      wheel cell, and the id packing throws rather than wraps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -211,26 +214,29 @@ struct SimRun {
   std::uint64_t violations = 0;
 };
 
+// partitions == 0 drives a default-constructed Simulator (no
+// enable_partitions/set_lookahead calls), which is the one-partition case.
 SimRun drive_sim(std::uint64_t seed, int partitions, sim::Duration lookahead) {
   sim::Simulator s;
   if (partitions > 0) {
     s.enable_partitions(partitions);
     s.set_lookahead(lookahead);
+  } else {
+    partitions = 1;
   }
   SimRun run;
-  run.logs.resize(partitions > 0 ? static_cast<std::size_t>(partitions) : 1);
+  run.logs.resize(static_cast<std::size_t>(partitions));
   auto& logs = run.logs;
   auto schedule = [&s, &logs, partitions](sim::Duration delay, int tag,
                                           int part, bool spawn_child,
                                           int child_part) {
-    sim::ScopedPartition guard(s, partitions > 0 ? part % partitions : 0);
+    sim::ScopedPartition guard(s, part % partitions);
     return s.after(delay, [&s, &logs, tag, spawn_child, child_part,
                            partitions]() {
       logs[static_cast<std::size_t>(s.current_partition())].push_back(
           Fired{tag, s.now()});
       if (spawn_child) {
-        sim::ScopedPartition to_child(
-            s, partitions > 0 ? child_part % partitions : 0);
+        sim::ScopedPartition to_child(s, child_part % partitions);
         s.after(17, [&s, &logs, tag]() {
           logs[static_cast<std::size_t>(s.current_partition())].push_back(
               Fired{kChildTagBase + tag, s.now()});
@@ -259,20 +265,25 @@ std::vector<Fired> flattened(const SimRun& run) {
 }
 
 TEST(ParallelSimDifferential, SerialWheelMatchesReference) {
+  // A default-constructed Simulator, never re-split, is the one-partition
+  // walk and must reproduce the reference pop order exactly.
   for (std::uint64_t seed : {1ull, 2ull, 7ull, 42ull, 1984ull}) {
     const auto ref = drive_ref(seed);
     ASSERT_FALSE(ref.empty()) << "seed " << seed << " scheduled nothing";
     const auto serial = drive_sim(seed, /*partitions=*/0, /*lookahead=*/0);
-    EXPECT_EQ(serial.logs[0], ref) << "serial wheel diverged, seed " << seed;
+    EXPECT_EQ(serial.logs[0], ref) << "default simulator diverged, seed "
+                                   << seed;
   }
 }
 
 TEST(ParallelSimDifferential, SinglePartitionWindowedMatchesReference) {
   // With one partition there is no cross-partition traffic, so the
   // windowed walk must reproduce the reference pop order exactly — the
-  // window machinery only batches, it must not reorder.
-  for (std::uint64_t seed : {1ull, 7ull, 1984ull}) {
+  // window machinery only batches, it must not reorder. The lookahead is
+  // irrelevant to one partition (its window runs to the deadline).
+  for (std::uint64_t seed : {1ull, 2ull, 7ull, 42ull, 1984ull}) {
     const auto ref = drive_ref(seed);
+    ASSERT_FALSE(ref.empty()) << "seed " << seed << " scheduled nothing";
     for (sim::Duration la : {sim::Duration{0}, sim::Duration{64}}) {
       const auto win = drive_sim(seed, /*partitions=*/1, la);
       EXPECT_EQ(win.logs[0], ref)
@@ -369,6 +380,129 @@ TEST(Lookahead, StagedViolationLandsAtTheNextWindowBoundary) {
   s.run();
   EXPECT_EQ(s.lookahead_violations(), 1u);
   EXPECT_EQ(fired_at, 110);
+}
+
+// ---------------------------------------------------------------------------
+// Event ids: partition + the wheel's cell index + its full generation.
+
+// The wheel cell an id names (its low 32 bits once the partition field is
+// stripped).
+std::uint64_t cell_of(const sim::EventIdLayout& ids, sim::EventId id) {
+  return ids.wheel_id(id) & 0xffffffffu;
+}
+
+TEST(EventIds, StaleIdNeverCancelsTheCellsNextOccupant) {
+  sim::Simulator s;
+  const sim::EventIdLayout ids(1);
+  int fired = 0;
+  const sim::EventId ran = s.after(10, [] {});
+  s.run();  // fires; its cell returns to the free list
+  const sim::EventId reused = s.after(10, [&fired] { ++fired; });
+  ASSERT_EQ(cell_of(ids, reused), cell_of(ids, ran));
+  ASSERT_NE(reused, ran);
+  s.cancel(ran);
+  s.run();
+  EXPECT_EQ(fired, 1);
+
+  // The same after a cancel: the cancelled cell is reclaimed when the
+  // walk passes its slot, and its old id must stay dead.
+  const sim::EventId dropped = s.after(10, [] {});
+  s.after(20, [] {});
+  s.cancel(dropped);
+  s.run();
+  // The free list hands back the later event's cell first, then dropped's.
+  s.after(10, [&fired] { ++fired; });
+  const sim::EventId next = s.after(10, [&fired] { ++fired; });
+  ASSERT_EQ(cell_of(ids, next), cell_of(ids, dropped));
+  s.cancel(dropped);
+  s.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(s.events_cancelled(), 1u);
+}
+
+TEST(EventIds, StagedStaleCancelNeverCancelsTheCellsNextOccupant) {
+  // A cancel issued from partition 0 inside a window is staged and applied
+  // to partition 1's wheel at the barrier; by then the id's cell holds a
+  // different event, which must survive. A live id staged the same way
+  // (the control) is cancelled.
+  sim::Simulator s;
+  s.enable_partitions(2);
+  s.set_lookahead(100);
+  const sim::EventIdLayout ids(2);
+  sim::EventId ran = 0;
+  {
+    sim::ScopedPartition p1(s, 1);
+    ran = s.after(10, [] {});
+  }
+  s.run_until(50);
+  int reused_fired = 0, control_fired = 0;
+  sim::EventId reused = 0, control = 0;
+  {
+    sim::ScopedPartition p1(s, 1);
+    reused = s.after(500, [&reused_fired] { ++reused_fired; });
+    control = s.after(600, [&control_fired] { ++control_fired; });
+  }
+  ASSERT_EQ(cell_of(ids, reused), cell_of(ids, ran));
+  ASSERT_EQ(ids.partition(reused), 1);
+  {
+    sim::ScopedPartition p0(s, 0);
+    s.after(100, [&s, ran, control] {
+      s.cancel(ran);      // stale: staged, must be a no-op at the barrier
+      s.cancel(control);  // live: staged, cancels at the barrier
+    });
+  }
+  s.run();
+  EXPECT_EQ(reused_fired, 1);
+  EXPECT_EQ(control_fired, 0);
+  EXPECT_EQ(s.events_cancelled(), 1u);
+}
+
+TEST(EventIds, PackingBoundsThrowInsteadOfWrapping) {
+  constexpr int kMax = 1 << sim::EventIdLayout::kMaxPartitionBits;
+  sim::Simulator s;
+  EXPECT_THROW(s.enable_partitions(kMax + 1), std::length_error);
+  EXPECT_EQ(s.partition_count(), 1);  // the failed re-split changed nothing
+
+  // At the partition bound each partition numbers 2^16 cells: the last
+  // one packs and round-trips, the next one throws.
+  const sim::EventIdLayout widest(kMax);
+  const sim::EventId gen1 = sim::EventId{1} << 32;
+  const sim::EventId last = widest.pack(kMax - 1, gen1 | 0xffffu);
+  EXPECT_EQ(widest.partition(last), kMax - 1);
+  EXPECT_EQ(widest.wheel_id(last), gen1 | 0xffffu);
+  EXPECT_THROW(widest.pack(0, gen1 | 0x10000u), std::length_error);
+
+  // One partition spends no bits: every cell fits and ids are the wheel's.
+  const sim::EventIdLayout one(1);
+  const sim::EventId top = (sim::EventId{0xffffffffu} << 32) | 0xfffffffeu;
+  EXPECT_EQ(one.pack(0, top), top);
+  EXPECT_EQ(one.partition(top), 0);
+}
+
+// ---------------------------------------------------------------------------
+// RNG streams: one partition keeps the root stream.
+
+TEST(PartitionStreams, OnePartitionDrawsTheRootStream) {
+  sim::Simulator s(1984);
+  sim::Rng root(1984);
+  std::vector<std::uint64_t> got, want;
+  for (int i = 0; i < 4; ++i) {
+    got.push_back(s.rng().next_u64());
+    want.push_back(root.next_u64());
+  }
+  s.after(5, [&s, &got] { got.push_back(s.rng().next_u64()); });
+  s.run();
+  want.push_back(root.next_u64());
+  EXPECT_EQ(got, want);
+
+  // enable_partitions(1) re-splits to the same root stream; two
+  // partitions split it into Rng(seed, p).
+  sim::Simulator one(1984);
+  one.enable_partitions(1);
+  EXPECT_EQ(one.rng().next_u64(), sim::Rng(1984).next_u64());
+  sim::Simulator two(1984);
+  two.enable_partitions(2);
+  EXPECT_EQ(two.rng().next_u64(), sim::Rng(1984, 0).next_u64());
 }
 
 }  // namespace

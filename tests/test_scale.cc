@@ -84,6 +84,27 @@ TEST(ScaleHarness, ContentionDegradesGracefullyAndAdaptiveBackoffWins) {
   EXPECT_GE(opt.ops_min, base.ops_min);
 }
 
+TEST(ScaleHarness, OverloadStackBeatsLinearRampAcrossSeeds) {
+  // bench_scale's 64-node contention pair, as soda_trend gates it
+  // (optimized goodput >= base, no client starved), held on a seed sweep
+  // rather than on seed 1 alone.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    HarnessOptions o;
+    o.workload = Workload::kContention;
+    o.nodes = 64;
+    o.ops_per_client = 12;
+    o.seed = seed;
+    o.optimized = false;
+    const HarnessResult base = run_harness(o);
+    o.optimized = true;
+    const HarnessResult opt = run_harness(o);
+    EXPECT_EQ(base.violations, 0u) << "seed " << seed;
+    EXPECT_EQ(opt.violations, 0u) << "seed " << seed;
+    EXPECT_GE(opt.goodput_ops_per_s, base.goodput_ops_per_s) << "seed " << seed;
+    EXPECT_GT(opt.ops_min, 0u) << "seed " << seed;
+  }
+}
+
 // --- anycast pool tier (doc/OVERLOAD.md §4) ---
 
 HarnessOptions pool_options(int pool_size) {
@@ -202,7 +223,7 @@ TEST(BusCorruptFilter, IsPerFrameReceiverDeterministic) {
 
   std::vector<net::Mid> delivered;
   for (net::Mid mid : {1, 2, 3}) {
-    bus.attach(mid, [&delivered, mid](const net::Frame&) {
+    bus.attach_ref(mid, [&delivered, mid](const net::FrameRef&) {
       delivered.push_back(mid);
     });
   }
@@ -245,8 +266,8 @@ TEST(BusInterestFilter, SuppressesBroadcastsButNeverUnicast) {
   net::Bus bus(sim, net::BusConfig{});
 
   int station1 = 0, station2 = 0;
-  bus.attach(1, [&station1](const net::Frame&) { ++station1; });
-  bus.attach(2, [&station2](const net::Frame&) { ++station2; });
+  bus.attach_ref(1, [&station1](const net::FrameRef&) { ++station1; });
+  bus.attach_ref(2, [&station2](const net::FrameRef&) { ++station2; });
   bus.set_interest_filter(2, [](const net::Frame&) { return false; });
 
   net::Frame broadcast;
