@@ -105,9 +105,16 @@ void aggregate_scale(TrendReport& r) {
   //      segments | epoch
   std::map<std::tuple<std::string, int, double, bool, int, int, int>,
            ScaleTrend>
-      pairs;
+      configs;
   for (const TrendRow& row : r.rows) {
     if (row.str("kind") != "scale") continue;
+    // Snapshots recorded before the harness lost its before/after axis
+    // carry "optimized": false rows for a stack that no longer exists;
+    // they are skipped, never merged with the shipped stack's row.
+    if (row.str("optimized") == "false" ||
+        row.num("optimized").value_or(1) == 0) {
+      continue;
+    }
     const std::string workload = row.str("workload");
     const int nodes = static_cast<int>(row.num("nodes").value_or(0));
     const double loss = row.num("loss").value_or(0);
@@ -118,7 +125,7 @@ void aggregate_scale(TrendReport& r) {
     // Rows predating the epoch-2 hash break carry no hash_epoch column.
     const int epoch = static_cast<int>(row.num("hash_epoch").value_or(1));
     ScaleTrend& t =
-        pairs[{workload, nodes, loss, backoff, pool, segments, epoch}];
+        configs[{workload, nodes, loss, backoff, pool, segments, epoch}];
     t.workload = workload;
     t.nodes = nodes;
     t.loss = loss;
@@ -126,42 +133,21 @@ void aggregate_scale(TrendReport& r) {
     t.pool_size = pool;
     t.segments = segments;
     t.epoch = epoch;
-    const bool opt = row.str("optimized") == "true" ||
-                     row.num("optimized").value_or(0) != 0;
-    const double events = row.num("events_executed").value_or(0);
-    const double sched = row.num("events_scheduled").value_or(0);
-    const double frames = row.num("frames_sent").value_or(0);
-    const double ops = row.num("ops_done").value_or(0);
-    if (opt) {
-      t.opt_events = events;
-      t.opt_scheduled = sched;
-      t.opt_frames = frames;
-      t.opt_ops = ops;
-      t.opt_filtered = row.num("frames_filtered").value_or(0);
-      t.opt_goodput = row.num("goodput_ops_s").value_or(0);
-      t.opt_ops_min = row.num("ops_min").value_or(0);
-      t.opt_ops_max = row.num("ops_max").value_or(0);
-      t.opt_timedout = row.num("timedout").value_or(0);
-      t.opt_shed = row.num("shed_offers").value_or(0);
-      t.opt_ev_wall = row.num("events_per_wall_s").value_or(0);
-      t.opt_rss_kb = row.num("peak_rss_kb").value_or(0);
-      t.opt_relayed = row.num("frames_relayed").value_or(0);
-    } else {
-      t.base_events = events;
-      t.base_scheduled = sched;
-      t.base_frames = frames;
-      t.base_ops = ops;
-      t.base_goodput = row.num("goodput_ops_s").value_or(0);
-      t.base_ops_min = row.num("ops_min").value_or(0);
-      t.base_ops_max = row.num("ops_max").value_or(0);
-      t.base_timedout = row.num("timedout").value_or(0);
-      t.base_shed = row.num("shed_offers").value_or(0);
-      t.base_ev_wall = row.num("events_per_wall_s").value_or(0);
-    }
-    t.ops_expected = row.num("ops_expected").value_or(t.ops_expected);
+    t.events = row.num("events_executed").value_or(0);
+    t.scheduled = row.num("events_scheduled").value_or(0);
+    t.frames = row.num("frames_sent").value_or(0);
+    t.filtered = row.num("frames_filtered").value_or(0);
+    t.ops = row.num("ops_done").value_or(0);
+    t.ops_expected = row.num("ops_expected").value_or(0);
+    t.goodput = row.num("goodput_ops_s").value_or(0);
+    t.ops_min = row.num("ops_min").value_or(0);
+    t.ops_max = row.num("ops_max").value_or(0);
+    t.timedout = row.num("timedout").value_or(0);
+    t.ev_wall = row.num("events_per_wall_s").value_or(0);
+    t.rss_kb = row.num("peak_rss_kb").value_or(0);
     t.violations += row.num("violations").value_or(0);
   }
-  for (auto& [key, t] : pairs) r.scale.push_back(t);
+  for (auto& [key, t] : configs) r.scale.push_back(t);
 }
 
 std::string scale_label(const std::string& workload, bool backoff,
@@ -249,74 +235,122 @@ std::string format_trend_report(const TrendReport& r) {
   }
 
   if (!r.scale.empty()) {
-    out << "\nScaling matrix (base -> optimized, % = reduction)\n";
+    out << "\nScaling matrix (events/wall-s and peak RSS are "
+           "host-dependent)\n";
     char buf[200];
-    std::snprintf(buf, sizeof buf, "  %-18s %5s %5s %22s %22s %10s %6s\n",
-                  "workload", "nodes", "loss", "sched events", "frames",
-                  "filtered", "viol");
+    std::snprintf(buf, sizeof buf,
+                  "  %-30s %5s %5s %13s %11s %9s %9s %13s %11s %5s\n",
+                  "workload", "nodes", "loss", "ops", "sched events",
+                  "frames", "filtered", "events/wall-s", "peak RSS kB",
+                  "viol");
     out << buf;
     for (const auto& t : r.scale) {
       const std::string label = scale_label(
           t.workload, t.backoff, t.pool_size, t.segments, t.epoch);
-      std::snprintf(
-          buf, sizeof buf,
-          "  %-18s %5d %4.0f%% %9.0f->%-7.0f %2.0f%% %9.0f->%-7.0f %2.0f%% "
-          "%10.0f %6.0f\n",
-          label.c_str(), t.nodes, t.loss * 100, t.base_scheduled,
-          t.opt_scheduled, ScaleTrend::win(t.base_scheduled, t.opt_scheduled),
-          t.base_frames, t.opt_frames,
-          ScaleTrend::win(t.base_frames, t.opt_frames), t.opt_filtered,
-          t.violations);
+      std::snprintf(buf, sizeof buf,
+                    "  %-30s %5d %4.0f%% %6.0f/%-6.0f %11.0f %9.0f %9.0f "
+                    "%13.0f %11.0f %5.0f\n",
+                    label.c_str(), t.nodes, t.loss * 100, t.ops,
+                    t.ops_expected, t.scheduled, t.frames, t.filtered,
+                    t.ev_wall, t.rss_kb, t.violations);
       out << buf;
-    }
-
-    // Engine throughput: host-dependent, so reported but never compared
-    // tightly. Only rows that carried the column (newer harness) print.
-    bool any_ev_wall = false;
-    for (const auto& t : r.scale) any_ev_wall |= t.opt_ev_wall > 0;
-    if (any_ev_wall) {
-      out << "\nEngine throughput (optimized rows; host-dependent)\n";
-      std::snprintf(buf, sizeof buf, "  %-18s %5s %14s %12s\n", "workload",
-                    "nodes", "events/wall-s", "peak RSS kB");
-      out << buf;
-      for (const auto& t : r.scale) {
-        if (t.opt_ev_wall <= 0) continue;
-        const std::string label = scale_label(
-            t.workload, t.backoff, t.pool_size, t.segments, t.epoch);
-        std::snprintf(buf, sizeof buf, "  %-18s %5d %14.0f %12.0f\n",
-                      label.c_str(), t.nodes, t.opt_ev_wall, t.opt_rss_kb);
-        out << buf;
-      }
     }
 
     // Goodput/fairness columns only mean something for the contention
     // workload (per-client tallies); star_rpc et al. leave them zero.
-    bool any_goodput = false;
-    for (const auto& t : r.scale) {
-      any_goodput |= t.base_ops_max > 0 || t.opt_ops_max > 0;
-    }
+    const bool any_goodput =
+        std::any_of(r.scale.begin(), r.scale.end(),
+                    [](const ScaleTrend& t) { return t.ops_max > 0; });
     if (any_goodput) {
-      out << "\nOverload goodput & fairness (base -> optimized)\n";
-      std::snprintf(buf, sizeof buf, "  %-18s %5s %18s %13s %13s %12s\n",
-                    "workload", "nodes", "goodput ops/s", "min/max base",
-                    "min/max opt", "timedout");
+      out << "\nOverload goodput & fairness\n";
+      std::snprintf(buf, sizeof buf, "  %-30s %5s %13s %13s %9s\n",
+                    "workload", "nodes", "goodput ops/s", "min/max ops",
+                    "timedout");
       out << buf;
       for (const auto& t : r.scale) {
-        if (t.base_ops_max <= 0 && t.opt_ops_max <= 0) continue;
+        if (t.ops_max <= 0) continue;
         const std::string label = scale_label(
             t.workload, t.backoff, t.pool_size, t.segments, t.epoch);
         std::snprintf(buf, sizeof buf,
-                      "  %-18s %5d %7.0f->%-8.0f %6.0f/%-6.0f %6.0f/%-6.0f "
-                      "%4.0f->%-5.0f\n",
-                      label.c_str(), t.nodes, t.base_goodput,
-                      t.opt_goodput, t.base_ops_min, t.base_ops_max,
-                      t.opt_ops_min, t.opt_ops_max, t.base_timedout,
-                      t.opt_timedout);
+                      "  %-30s %5d %13.0f %6.0f/%-6.0f %9.0f\n",
+                      label.c_str(), t.nodes, t.goodput, t.ops_min,
+                      t.ops_max, t.timedout);
         out << buf;
       }
     }
   }
   return out.str();
+}
+
+std::vector<std::string> trend_gate_failures(const TrendReport& r) {
+  std::vector<std::string> failures;
+  char buf[240];
+  for (const auto& c : r.chaos) {
+    if (c.failures == 0) continue;
+    std::snprintf(buf, sizeof buf, "chaos %s recorded %ld failing runs",
+                  c.scenario.c_str(), c.failures);
+    failures.emplace_back(buf);
+  }
+  for (const auto& t : r.scale) {
+    const std::string label = scale_label(t.workload, t.backoff, t.pool_size,
+                                          t.segments, t.epoch);
+    if (t.violations > 0) {
+      std::snprintf(buf, sizeof buf,
+                    "%s@%d recorded %.0f invariant violations", label.c_str(),
+                    t.nodes, t.violations);
+      failures.emplace_back(buf);
+    }
+    if (t.workload != "contention") continue;
+    // Overload gate (doc/OVERLOAD.md): the 64-node storm against the one
+    // slow server must starve no client, and every op must end exactly
+    // once — completed or TIMEDOUT by the BUSY retry budget.
+    if (t.nodes == 64 && t.pool_size == 0 && t.segments == 1) {
+      if (t.ops_min <= 0) {
+        std::snprintf(buf, sizeof buf,
+                      "%s@64 starved a client (ops min %.0f)", label.c_str(),
+                      t.ops_min);
+        failures.emplace_back(buf);
+      }
+      if (t.ops + t.timedout != t.ops_expected) {
+        std::snprintf(buf, sizeof buf,
+                      "%s@64 terminal states: %.0f ok + %.0f timedout != "
+                      "%.0f expected ops",
+                      label.c_str(), t.ops, t.timedout, t.ops_expected);
+        failures.emplace_back(buf);
+      }
+    }
+    // Anycast pool gate (doc/OVERLOAD.md §4): on one bus, the 8-server
+    // pool must deliver at least 4x the goodput of the 1-server pool in
+    // the same storm. Internetwork pool rows have no 1-server partner.
+    if (t.pool_size != 8 || t.segments != 1 || t.nodes < 128) continue;
+    for (const auto& u : r.scale) {
+      if (u.workload != t.workload || u.nodes != t.nodes ||
+          u.loss != t.loss || u.backoff != t.backoff || u.pool_size != 1 ||
+          u.segments != t.segments || u.epoch != t.epoch) {
+        continue;
+      }
+      if (t.goodput < 4.0 * u.goodput) {
+        std::snprintf(buf, sizeof buf,
+                      "contention@%d pool scaling regression: pool8 goodput "
+                      "%.0f < 4x pool1 goodput %.0f ops/s",
+                      t.nodes, t.goodput, u.goodput);
+        failures.emplace_back(buf);
+      }
+    }
+  }
+  for (const auto& f : r.fleet) {
+    if (f.violations == 0 && f.wedged == 0 && f.unexpected_exits == 0 &&
+        f.twin_mismatches == 0) {
+      continue;
+    }
+    std::snprintf(buf, sizeof buf,
+                  "fleet %s failing: violations=%ld wedged=%ld "
+                  "unexpected=%ld twin_mismatch=%ld",
+                  f.scenario.c_str(), f.violations, f.wedged,
+                  f.unexpected_exits, f.twin_mismatches);
+    failures.emplace_back(buf);
+  }
+  return failures;
 }
 
 std::string format_trend_diff(const TrendReport& before,
@@ -393,7 +427,7 @@ std::string format_trend_diff(const TrendReport& before,
           .second = &t;
     }
     if (!merged.empty()) {
-      out << "\nScaling matrix (optimized mode, before -> after)\n";
+      out << "\nScaling matrix (before -> after)\n";
       std::snprintf(buf, sizeof buf, "  %-18s %5s %5s %20s %20s %18s %16s\n",
                     "workload", "nodes", "loss", "ops", "sched events",
                     "goodput ops/s", "events/wall-s");
@@ -413,26 +447,24 @@ std::string format_trend_diff(const TrendReport& before,
         const ScaleTrend& b = *ba.first;
         const ScaleTrend& a = *ba.second;
         const char* flag = "";
-        if (a.opt_ops < b.opt_ops || a.violations > b.violations ||
-            (b.opt_goodput > 0 && a.opt_goodput < b.opt_goodput * 0.95)) {
+        if (a.ops < b.ops || a.violations > b.violations ||
+            (b.goodput > 0 && a.goodput < b.goodput * 0.95)) {
           flag = "  [WORSE]";
         }
         // Wall-clock throughput is host- and load-dependent, so the gate
         // only fires on a >3x collapse — a real engine regression, not a
         // noisy neighbour on the CI box — and only for rows big enough
         // (>=100k events) that the wall time isn't startup noise.
-        if (flag[0] == '\0' && b.opt_events >= 100000 &&
-            b.opt_ev_wall > 0 && a.opt_ev_wall > 0 &&
-            a.opt_ev_wall * 3 < b.opt_ev_wall) {
+        if (flag[0] == '\0' && b.events >= 100000 && b.ev_wall > 0 &&
+            a.ev_wall > 0 && a.ev_wall * 3 < b.ev_wall) {
           flag = "  [WORSE]";
         }
         std::snprintf(buf, sizeof buf,
                       "  %-18s %5d %4.0f%% %8.0f->%-8.0f %9.0f->%-9.0f "
                       "%7.0f->%-7.0f %7.0f->%-7.0f%s\n",
-                      label.c_str(), nodes, loss * 100, b.opt_ops,
-                      a.opt_ops, b.opt_scheduled, a.opt_scheduled,
-                      b.opt_goodput, a.opt_goodput, b.opt_ev_wall,
-                      a.opt_ev_wall, flag);
+                      label.c_str(), nodes, loss * 100, b.ops, a.ops,
+                      b.scheduled, a.scheduled, b.goodput, a.goodput,
+                      b.ev_wall, a.ev_wall, flag);
         out << buf;
       }
     }

@@ -24,15 +24,16 @@ struct TrendRow {
   std::string str(const std::string& key) const;
 };
 
-/// Paired base/optimized scaling measurements for one (workload, nodes).
+/// Scaling measurements for one bench_scale configuration.
 struct ScaleTrend {
   std::string workload;
   int nodes = 0;
   double loss = 0;
-  // 128/256-node tiers run twice with exponential retransmit backoff
-  // off/on; the flag is part of the aggregation key so they don't merge.
+  // 128/256-node tiers run with exponential retransmit backoff; the flag
+  // is part of the aggregation key so they never merge with backoff-off
+  // rows.
   bool backoff = false;
-  // Anycast pool size for the contention workload (0 = the legacy single
+  // Anycast pool size for the contention workload (0 = the single
   // server). Part of the aggregation key: the pool sweep emits one row
   // per size and the CI gate compares goodput across them.
   int pool_size = 0;
@@ -46,31 +47,23 @@ struct ScaleTrend {
   // every trace hash and event count, so epoch-1 rows must never pair
   // with epoch-2 rows in a trend diff.
   int epoch = 1;
-  double opt_relayed = 0;  // gateway store-and-forward copies (segments > 1)
-  double base_events = 0, opt_events = 0;        // events executed
-  double base_scheduled = 0, opt_scheduled = 0;  // timer churn
-  double base_frames = 0, opt_frames = 0;
-  double opt_filtered = 0;  // broadcast deliveries the NIC filter skipped
-  double base_ops = 0, opt_ops = 0, ops_expected = 0;
+  double events = 0;     // events executed
+  double scheduled = 0;  // timer churn
+  double frames = 0;
+  double filtered = 0;  // broadcast deliveries the NIC filter skipped
+  double ops = 0, ops_expected = 0;
   // Overload columns (contention workload, doc/OVERLOAD.md): goodput in
   // ops per simulated second, per-client min/max ops (fairness), retry-
-  // budget exhaustions, admission-control sheds.
-  double base_goodput = 0, opt_goodput = 0;
-  double base_ops_min = 0, opt_ops_min = 0;
-  double base_ops_max = 0, opt_ops_max = 0;
-  double base_timedout = 0, opt_timedout = 0;
-  double base_shed = 0, opt_shed = 0;
+  // budget exhaustions.
+  double goodput = 0;
+  double ops_min = 0, ops_max = 0;
+  double timedout = 0;
   // Host-dependent engine-throughput columns (events / wall-second and
   // VmHWM). Informational in reports; the diff gate only flags a >3x
   // collapse so machine noise never fails CI.
-  double base_ev_wall = 0, opt_ev_wall = 0;
-  double opt_rss_kb = 0;
-  double violations = 0;  // summed over both modes — should stay 0
-
-  /// Percent reduction of `base` -> `opt` (0 when base is 0).
-  static double win(double base, double opt) {
-    return base > 0 ? 100.0 * (base - opt) / base : 0.0;
-  }
+  double ev_wall = 0;
+  double rss_kb = 0;
+  double violations = 0;  // summed over the key's rows — should stay 0
 };
 
 struct TrendReport {
@@ -119,6 +112,20 @@ std::vector<std::string> find_bench_files(const std::string& dir);
 
 /// Render the report as the human-readable summary the CLI prints.
 std::string format_trend_report(const TrendReport& r);
+
+/// The snapshot gates soda_trend exits 1 on, one message per failure
+/// (empty when every gate holds):
+///   - a chaos sweep recorded failures;
+///   - a scale row recorded an invariant violation;
+///   - the 64-node single-server contention row starved a client
+///     (ops_min == 0) or left an op without exactly one terminal state
+///     (ops_done + timedout != ops_expected);
+///   - a single-segment anycast pool sweep's 8-server pool delivered less
+///     than 4x the goodput of its 1-server pool;
+///   - a fleet run recorded violations, wedged or unexpectedly dead
+///     workers, or a real-vs-sim twin mismatch.
+/// Gates whose rows are absent from the snapshot are skipped.
+std::vector<std::string> trend_gate_failures(const TrendReport& r);
 
 /// Render a before/after comparison of two snapshots (e.g. the BENCH
 /// files from the base branch vs. this PR): chaos failure deltas, paper-

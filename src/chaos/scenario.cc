@@ -184,7 +184,6 @@ void apply_timer_skew(TimingModel& t, double factor) {
   scale(t.retransmit_interval);
   scale(t.retransmit_jitter);
   scale(t.busy_retry_interval);
-  scale(t.busy_retry_growth);
   scale(t.busy_retry_max);
   scale(t.probe_interval);
   scale(t.mpl);

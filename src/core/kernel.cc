@@ -1225,27 +1225,13 @@ void Kernel::start_probing(Tid tid) {
   PendingRequest& p = it->second;
   p.probe_misses = 0;
   p.awaiting_probe_reply = false;
-  if (config_.timing.batched_timer_bookkeeping) {
-    p.probe_active = true;
-    p.next_probe_at = sim_.now() + config_.timing.probe_interval;
-    probe_wheel_schedule(p.next_probe_at);
-    return;
-  }
-  p.probe_armed = true;
-  p.probe_timer =
-      sim_.after(config_.timing.probe_interval,
-                 [this, tid, epoch = death_epoch_]() {
-                   if (epoch != death_epoch_) return;
-                   probe_tick(tid);
-                 });
+  p.probe_active = true;
+  p.next_probe_at = sim_.now() + config_.timing.probe_interval;
+  probe_wheel_schedule(p.next_probe_at);
 }
 
 void Kernel::stop_probing(PendingRequest& p) {
   p.probe_active = false;  // the wheel skips de-enrolled entries lazily
-  if (p.probe_armed) {
-    sim_.cancel(p.probe_timer);
-    p.probe_armed = false;
-  }
 }
 
 void Kernel::probe_wheel_schedule(sim::Time at) {
@@ -1291,7 +1277,6 @@ void Kernel::probe_tick(Tid tid) {
   auto it = pending_.find(tid);
   if (it == pending_.end()) return;
   PendingRequest& p = it->second;
-  p.probe_armed = false;
   if (p.phase != PendingRequest::Phase::kDelivered || p.accept_info) return;
   if (p.awaiting_probe_reply && !p.probe_reply_seen) {
     if (++p.probe_misses >= config_.timing.max_probe_misses) {
@@ -1312,18 +1297,9 @@ void Kernel::probe_tick(Tid tid) {
                           .with_status(sim::TraceStatus::kQuery));
   p.awaiting_probe_reply = true;
   p.probe_reply_seen = false;
-  if (config_.timing.batched_timer_bookkeeping) {
-    p.probe_active = true;
-    p.next_probe_at = sim_.now() + config_.timing.probe_interval;
-    probe_wheel_schedule(p.next_probe_at);
-    return;
-  }
-  p.probe_armed = true;
-  p.probe_timer = sim_.after(config_.timing.probe_interval,
-                             [this, tid, epoch = death_epoch_]() {
-                               if (epoch != death_epoch_) return;
-                               probe_tick(tid);
-                             });
+  p.probe_active = true;
+  p.next_probe_at = sim_.now() + config_.timing.probe_interval;
+  probe_wheel_schedule(p.next_probe_at);
 }
 
 // ===================================================================

@@ -227,9 +227,7 @@ class Kernel {
     std::vector<Mid> discovered;
 
     // probing (§3.6.2)
-    sim::EventId probe_timer = 0;
-    bool probe_armed = false;      // legacy per-request timer
-    bool probe_active = false;     // enrolled on the probe wheel (batched)
+    bool probe_active = false;     // enrolled on the probe wheel
     sim::Time next_probe_at = 0;   // wheel deadline for this request
     bool awaiting_probe_reply = false;
     bool probe_reply_seen = false;
@@ -365,10 +363,10 @@ class Kernel {
 
   // requester state
   std::map<Tid, PendingRequest> pending_;
-  // Probe wheel (timing.batched_timer_bookkeeping): every pending
-  // request's probe deadline multiplexes onto one armed timer at the
-  // earliest of them; firing scans pending_ (bounded by MAXREQUESTS)
-  // instead of each request arming/cancelling its own event.
+  // Probe wheel: every pending request's probe deadline multiplexes onto
+  // one armed timer at the earliest of them; firing scans pending_
+  // (bounded by MAXREQUESTS) instead of each request arming/cancelling
+  // its own event.
   sim::EventId probe_wheel_timer_ = 0;
   bool probe_wheel_armed_ = false;
   sim::Time probe_wheel_at_ = 0;

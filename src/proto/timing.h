@@ -69,20 +69,20 @@ struct TimingModel {
   /// copied out, serialized at 1 Mbit/s, copied in and answered, so the
   /// timeout must grow with size or large PUTs retransmit spuriously.
   sim::Duration retransmit_per_byte = 60;
+  /// BUSY retries back off exponentially with decorrelated jitter: the
+  /// first retry waits busy_retry_interval, each later one is drawn from
+  /// [prev, 3*prev] with the floor raised by the server's shed hint, up to
+  /// busy_retry_max (doc/OVERLOAD.md §1). The 1984 linear ramp kept every
+  /// contending requester in lockstep, so a 64-node storm never drained.
   sim::Duration busy_retry_interval = 5'000;    // first retry pace against BUSY
-  sim::Duration busy_retry_growth = 1'000;      // legacy linear slowdown (§5.2.2)
-  sim::Duration busy_retry_max = 40'000;        // backoff cap, both schemes
-  /// Adaptive BUSY backoff: replace the fixed linear ramp with capped
-  /// exponential backoff using decorrelated jitter (next delay drawn from
-  /// [prev, 3*prev], floor raised by the server's shed hint). The linear
-  /// ramp synchronizes retries across contending requesters — at 64 nodes
-  /// every BUSY-NACKed client comes back in lockstep and the storm never
-  /// drains. Off reproduces the 1984-faithful fixed ramp.
+  sim::Duration busy_retry_max = 40'000;        // backoff cap
+  /// Inert: no code reads it. BUSY backoff is always the adaptive scheme
+  /// above; the field stays declared only until the benchmark driver
+  /// (perfbench/perfbench.cc) stops assigning it.
   bool adaptive_busy_backoff = true;
   /// Consecutive BUSY NACKs on one frame before the sender gives up and
   /// completes the request locally with TIMEDOUT (graceful degradation
-  /// instead of retrying forever). 0 = unlimited. Only enforced when
-  /// adaptive_busy_backoff is on; the 1984 model retried indefinitely.
+  /// instead of retrying forever). 0 = unlimited, as in the 1984 model.
   int busy_retry_budget = 64;
   int max_ack_retries = 8;                // silence => peer declared dead
   /// Exponential retransmit backoff: the k-th consecutive unanswered
@@ -179,11 +179,11 @@ struct TimingModel {
   sim::Duration discover_stagger = 1'500;     // per-MID reply stagger (§5.3)
 
   // --- implementation strategy knobs (not part of the 1984 calibration) ---
-  /// Batch/lazily maintain protocol timers instead of cancel+reschedule
-  /// per frame: Delta-t record expiry re-arms from a last-activity stamp,
-  /// and the kernel multiplexes all probe timers onto one wheel. The fire
-  /// times are provably identical; only event-queue churn changes. Kept
-  /// as a switch so the scaling bench can measure the before/after.
+  /// Inert: no code reads it. Protocol timers are always batched — Delta-t
+  /// record expiry re-arms lazily from a last-activity stamp and the
+  /// kernel multiplexes all probe deadlines onto one timer. The field
+  /// stays declared only until the benchmark driver
+  /// (perfbench/perfbench.cc) stops assigning it.
   bool batched_timer_bookkeeping = true;
 
   /// A "modern NIC" preset: microsecond-scale per-event costs and
@@ -207,7 +207,6 @@ struct TimingModel {
     t.retransmit_jitter = 40;
     t.retransmit_per_byte = 1;
     t.busy_retry_interval = 50;
-    t.busy_retry_growth = 10;
     t.busy_retry_max = 400;
     t.busy_retry_budget = 64;
     t.max_ack_retries = 8;

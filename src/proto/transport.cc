@@ -40,14 +40,10 @@ Transport::Record& Transport::record(Mid peer) {
 
 void Transport::touch(Record& r, Mid peer) {
   r.last_activity = sim_.now();
-  if (r.expiry_armed) {
-    // Lazy expiry: the armed timer re-checks last_activity when it fires
-    // and re-arms for the remainder, so a busy connection costs zero
-    // event-queue churn per frame instead of a cancel + reschedule.
-    if (timing_.batched_timer_bookkeeping) return;
-    sim_.cancel(r.expiry_timer);
-    r.expiry_armed = false;
-  }
+  // Lazy expiry: the armed timer re-checks last_activity when it fires
+  // and re-arms for the remainder, so a busy connection costs zero
+  // event-queue churn per frame instead of a cancel + reschedule.
+  if (r.expiry_armed) return;
   arm_expiry(r, peer, timing_.record_lifetime());
 }
 
@@ -61,7 +57,7 @@ void Transport::arm_expiry(Record& r, Mid peer, sim::Duration delay) {
     Record& rec = it->second;
     rec.expiry_armed = false;
     // The record's true deadline is last-activity + lifetime, exactly what
-    // the eager cancel+reschedule scheme enforced; if activity arrived
+    // a cancel+reschedule per frame would enforce; if activity arrived
     // since this timer was armed, sleep out the remainder.
     const sim::Time due = rec.last_activity + timing_.record_lifetime();
     if (sim_.now() < due) {
@@ -418,7 +414,7 @@ void Transport::process_nack(Mid peer, Record& r, const Frame& f) {
       r.outstanding->data_tag = net::DataTag::kNone;
       if (r.outstanding->request) r.outstanding->request->carries_data = false;
     }
-    if (timing_.adaptive_busy_backoff && timing_.busy_retry_budget > 0 &&
+    if (timing_.busy_retry_budget > 0 &&
         r.busy_attempts >= timing_.busy_retry_budget) {
       // Retry budget spent against a peer that keeps answering BUSY:
       // degrade gracefully instead of stalling the bus forever. Same
@@ -457,11 +453,6 @@ sim::Duration Transport::next_busy_pace(Record& r, std::uint8_t hint) {
   const sim::Duration base = std::max<sim::Duration>(1,
                                                      timing_.busy_retry_interval);
   const sim::Duration cap = std::max(base, timing_.busy_retry_max);
-  if (!timing_.adaptive_busy_backoff) {
-    // 1984-faithful fixed linear ramp. Every contending requester walks
-    // the identical delay sequence, so their retries stay synchronized.
-    return std::min(base + timing_.busy_retry_growth * r.busy_attempts, cap);
-  }
   // Capped exponential backoff with decorrelated jitter: the first retry
   // keeps the paper's deterministic pace, every later one is drawn from
   // [prev, 3*prev]. An overloaded peer's shed hint raises the floor, so

@@ -102,8 +102,8 @@ class StarClient final : public sodal::SodalClient {
 };
 
 /// All-to-all DISCOVER storm: every client repeatedly broadcasts DISCOVER
-/// for the server pattern. Without the NIC pattern filter each broadcast
-/// interrupts all N-1 stations; with it only the servers ever see one.
+/// for the server pattern. The NIC pattern filter keeps each broadcast
+/// from interrupting all N-1 stations: only the servers ever see one.
 class DiscoverClient final : public sodal::SodalClient {
  public:
   DiscoverClient(const HarnessOptions& o, Tally* tally)
@@ -155,9 +155,8 @@ class StoreClient final : public sodal::SodalClient {
 };
 
 /// Name-service storm: each client grows its own directory one binding at
-/// a time and LISTs it after every bind. The legacy flat table makes each
-/// LIST scan every binding on the server (quadratic in total ops); the
-/// indexed table touches only the client's own directory.
+/// a time and LISTs it after every bind; the server's indexed table
+/// touches only the client's own directory per LIST.
 class NameClient final : public sodal::SodalClient {
  public:
   NameClient(const HarnessOptions& o, Tally* tally) : o_(o), tally_(tally) {}
@@ -251,8 +250,7 @@ std::unique_ptr<Client> make_scale_client(const HarnessOptions& o, int mid,
       return std::make_unique<StoreClient>(o, tally);
     case Workload::kNameStorm:
       if (is_server) {
-        return std::make_unique<sodal::NameServer>(sodal::kNameServerPattern,
-                                                   o.optimized);
+        return std::make_unique<sodal::NameServer>();
       }
       return std::make_unique<NameClient>(o, tally);
   }
@@ -328,24 +326,16 @@ HarnessResult run_harness(const HarnessOptions& opts) {
   for (int mid = 0; mid < o.nodes; ++mid) {
     NodeConfig cfg;
     if (o.fast) cfg.timing = TimingModel::fast();
-    cfg.timing.batched_timer_bookkeeping = o.optimized;
-    cfg.nic_pattern_filter = o.optimized;
-    // The overload-robustness pair rides the same before/after switch:
-    // base rows keep the 1984-faithful linear BUSY ramp with no shedding.
-    cfg.timing.adaptive_busy_backoff = o.optimized;
+    // Default-off in NodeConfig only because turning it on there would
+    // change every chaos scenario's pinned trace hash.
+    cfg.nic_pattern_filter = true;
     cfg.timing.exponential_retransmit_backoff = o.retransmit_backoff;
-    if (!o.optimized) {
-      cfg.admit_backlog_watermark = 0;
-      cfg.admit_offer_watermark = 0;
-    }
-    // Optimized contention rows, pooled or not, run the whole overload
-    // stack, load-adaptive watermarks included (doc/OVERLOAD.md §3.2).
-    // With the fixed table a 64-node storm spends about a third of the
-    // server's BUSY NACKs on requests that later exhaust their retry
-    // budget, and its goodput only ties the linear ramp (EXPERIMENTS.md).
-    // The other workloads keep the fixed watermarks.
-    cfg.adaptive_admission =
-        o.workload == Workload::kContention && o.optimized;
+    // Contention rows, pooled or not, run the whole overload stack,
+    // load-adaptive watermarks included (doc/OVERLOAD.md §3.2). With the
+    // fixed table a 64-node storm spends about a third of the server's
+    // BUSY NACKs on requests that later exhaust their retry budget
+    // (EXPERIMENTS.md). The other workloads keep the fixed watermarks.
+    cfg.adaptive_admission = o.workload == Workload::kContention;
     Node& n = net_single
                   ? net_single->add_node(std::move(cfg))
                   : internet->add_node(mid % segments, std::move(cfg));

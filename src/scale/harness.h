@@ -4,11 +4,13 @@
 //
 // A harness run is a pure function of its options (same determinism
 // contract as soda::chaos): the invariant checkers ride along on the
-// trace stream, so the scaling bench doubles as a correctness sweep. The
-// `optimized` switch flips the three O(N) fixes this harness exposed —
-// NIC broadcast interest filtering (net::Bus), batched timer bookkeeping
-// (proto/core), and the indexed name-server table — so BENCH_scale.jsonl
-// carries honest before/after rows.
+// trace stream, so the scaling bench doubles as a correctness sweep.
+// Every run builds the one shipped node stack: the NIC broadcast pattern
+// filter (net::Bus), batched protocol timers, adaptive BUSY backoff with
+// the retry budget, the fixed admission watermarks (load-adaptive ones on
+// contention rows) and the indexed name-server table. The before/after
+// measurements that justified each of these are recorded in
+// EXPERIMENTS.md.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +26,8 @@ enum class Workload : std::uint8_t {
   kReplicatedStore,  // multicast SET + read-any against replicas
   kNameStorm,        // bind fan-out + directory LISTs at one name server
   kContention,       // every client hammers ONE slow server back-to-back:
-                     //   the 64-node overload case (doc/OVERLOAD.md). The
-                     //   `optimized` switch flips adaptive BUSY backoff +
-                     //   load-adaptive kernel admission control on/off.
+                     //   the 64-node overload case (doc/OVERLOAD.md), run
+                     //   with load-adaptive kernel admission control.
 };
 
 const char* to_string(Workload w);
@@ -53,8 +54,7 @@ struct HarnessOptions {
   std::uint32_t payload = 64;
   double loss = 0.0;        // uniform frame-loss probability
   std::uint64_t seed = 1;
-  bool fast = true;       // TimingModel::fast() + BusConfig::fast()
-  bool optimized = true;  // the three O(N) fixes on/off (before/after)
+  bool fast = true;  // TimingModel::fast() + BusConfig::fast()
   /// Exponential retransmit backoff (TimingModel knob). Off by default —
   /// the fixed 1984 interval — so existing rows and pinned hashes stand;
   /// the 128/256-node tiers turn it on (the crash detector's constant

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 
@@ -30,14 +29,11 @@ constexpr Pattern kNameServerPattern = kWellKnownBit | 0x4A3E;
 
 class NameServer : public SodalClient {
  public:
-  /// `indexed` (the default) keeps bindings in a hash table with a
-  /// refcounted per-directory child index, so exact operations are O(1)
-  /// and LIST touches only the listed directory. `indexed = false` keeps
-  /// the original flat map whose LIST scans every binding — retained so
-  /// the scaling bench can measure the difference.
-  explicit NameServer(Pattern pattern = kNameServerPattern,
-                      bool indexed = true)
-      : pattern_(pattern), indexed_(indexed) {}
+  /// Bindings live in a hash table with a refcounted per-directory child
+  /// index, so exact operations are O(1) and LIST touches only the listed
+  /// directory instead of scanning every binding.
+  explicit NameServer(Pattern pattern = kNameServerPattern)
+      : pattern_(pattern) {}
 
   sim::Task on_boot(Mid) override {
     advertise(pattern_);
@@ -97,31 +93,16 @@ class NameServer : public SodalClient {
         }
         const std::string dir = sit->second;
         staged_.erase(sit);
-        std::set<std::string> children;
-        if (indexed_) {
-          auto cit = children_.find(dir);
-          if (cit != children_.end()) {
-            for (const auto& [name, refs] : cit->second) {
-              children.insert(name);
-            }
-          }
-        } else {
-          const std::string prefix = dir.empty() ? "" : dir + "/";
-          for (const auto& [path, sig] : bindings_) {
-            if (path.rfind(prefix, 0) != 0) continue;
-            const std::string rest = path.substr(prefix.size());
-            if (rest.empty()) continue;
-            children.insert(rest.substr(0, rest.find('/')));
-          }
-        }
         std::string listing;
-        for (const auto& c : children) {
-          listing += c;
-          listing += '\n';
+        std::int32_t count = 0;
+        if (auto cit = children_.find(dir); cit != children_.end()) {
+          for (const auto& [name, refs] : cit->second) {
+            listing += name;
+            listing += '\n';
+            ++count;
+          }
         }
-        co_await accept_current_get(
-            static_cast<std::int32_t>(children.size()),
-            to_bytes(listing));
+        co_await accept_current_get(count, to_bytes(listing));
         break;
       }
       case 6: {  // UNBIND
@@ -164,18 +145,17 @@ class NameServer : public SodalClient {
       it->second = std::move(sig);  // rebind: index refcounts unchanged
       return;
     }
-    if (indexed_) index_add(path);
+    index_add(path);
   }
 
   void unbind_path(const std::string& path) {
     if (bindings_.erase(path) == 0) return;
-    if (indexed_) index_remove(path);
+    index_remove(path);
   }
 
   /// Every ancestor directory of `path` gains (or loses) a reference to
   /// the child component below it, so binding "a/b/c" makes "b" listable
-  /// under "a" even though "a/b" itself is not bound — the same derived
-  /// children the legacy full scan produced.
+  /// under "a" even though "a/b" itself is not bound.
   void index_add(const std::string& path) {
     std::string dir = path;
     while (!dir.empty()) {
@@ -204,7 +184,6 @@ class NameServer : public SodalClient {
   }
 
   Pattern pattern_;
-  bool indexed_;
   std::unordered_map<std::string, Bytes> bindings_;
   // directory -> child name -> number of bindings contributing it
   std::map<std::string, std::map<std::string, int>> children_;

@@ -491,7 +491,6 @@ TEST(InetScale, TwoSegmentThousandNodeStarRpcCompletes) {
   o.ops_per_client = 12;
   o.seed = 4;
   o.fast = true;
-  o.optimized = true;
   o.retransmit_backoff = true;
   const scale::HarnessResult r = run_harness(o);
   EXPECT_EQ(r.ops_done, r.ops_expected);

@@ -1,8 +1,9 @@
 // The scaling harness as a correctness gate: N-node workloads complete
-// exactly once within bounded simulated time under loss, with the O(N)
-// fixes both off and on; runs are bit-deterministic; the optimizations
-// provably reduce event-queue churn; and the bus-level corrupt/interest
-// filters behave per-(frame, receiver) deterministically.
+// exactly once within bounded simulated time under loss; every contention
+// op ends in exactly one terminal state and no client starves; runs are
+// bit-deterministic; the NIC pattern filter shields a DISCOVER storm; and
+// the bus-level corrupt/interest filters behave per-(frame, receiver)
+// deterministically.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -29,7 +30,6 @@ HarnessOptions base_options(Workload w, int nodes, double loss) {
   o.loss = loss;
   o.seed = 11;
   o.fast = true;
-  o.optimized = true;
   return o;
 }
 
@@ -45,63 +45,44 @@ TEST(ScaleHarness, SixteenNodesUnderLossComplete) {
   EXPECT_LT(r.sim_elapsed, 5 * sim::kSecond);
 }
 
-TEST(ScaleHarness, ThirtyTwoNodesUnderLossCompleteInBothModes) {
-  for (const bool optimized : {false, true}) {
-    auto o = base_options(Workload::kStarRpc, 32, 0.05);
-    o.optimized = optimized;
-    const HarnessResult r = run_harness(o);
-    EXPECT_EQ(r.ops_done, r.ops_expected) << "optimized=" << optimized;
-    EXPECT_EQ(r.violations, 0u)
-        << "optimized=" << optimized << ": " << r.first_violation;
-    EXPECT_LT(r.sim_elapsed, 10 * sim::kSecond);
-  }
+TEST(ScaleHarness, ThirtyTwoNodesUnderLossComplete) {
+  auto o = base_options(Workload::kStarRpc, 32, 0.05);
+  const HarnessResult r = run_harness(o);
+  EXPECT_EQ(r.ops_done, r.ops_expected);
+  EXPECT_EQ(r.violations, 0u) << r.first_violation;
+  EXPECT_LT(r.sim_elapsed, 10 * sim::kSecond);
 }
 
-TEST(ScaleHarness, ContentionDegradesGracefullyAndAdaptiveBackoffWins) {
-  // 24 clients hammer one slow server back-to-back. In both modes the run
-  // must stay invariant-clean and make progress; the adaptive-backoff +
-  // admission mode (optimized) must not do worse than the 1984 linear
-  // ramp on either goodput or fairness.
+TEST(ScaleHarness, ContentionDegradesGracefully) {
+  // 24 clients hammer one slow server back-to-back. The run must stay
+  // invariant-clean and make progress, every op must end exactly once —
+  // completed, or TIMEDOUT when its BUSY retry budget runs out — and no
+  // client may starve.
   auto o = base_options(Workload::kContention, 25, 0.0);
   o.ops_per_client = 6;
-  o.optimized = false;
-  const HarnessResult base = run_harness(o);
-  o.optimized = true;
-  const HarnessResult opt = run_harness(o);
-
-  for (const HarnessResult* r : {&base, &opt}) {
-    EXPECT_EQ(r->violations, 0u) << r->first_violation;
-    EXPECT_GT(r->ops_done, 0u);
-    EXPECT_LE(r->ops_done, r->ops_expected);
-  }
-  // Graceful degradation accounting: every op either succeeded or timed
-  // out; the base mode has no retry budget, so it never times out.
-  EXPECT_EQ(base.requests_timedout, 0u);
-  EXPECT_GE(opt.ops_done + opt.requests_timedout, opt.ops_done);
-  // The whole point of the PR: adaptive backoff completes at least as
-  // much useful work, at least as fairly.
-  EXPECT_GE(opt.ops_done, base.ops_done);
-  EXPECT_GE(opt.ops_min, base.ops_min);
+  const HarnessResult r = run_harness(o);
+  EXPECT_EQ(r.violations, 0u) << r.first_violation;
+  EXPECT_GT(r.ops_done, 0u);
+  EXPECT_EQ(r.ops_done + r.requests_timedout, r.ops_expected);
+  EXPECT_GT(r.ops_min, 0u);
 }
 
-TEST(ScaleHarness, OverloadStackBeatsLinearRampAcrossSeeds) {
-  // bench_scale's 64-node contention pair, as soda_trend gates it
-  // (optimized goodput >= base, no client starved), held on a seed sweep
-  // rather than on seed 1 alone.
+TEST(ScaleHarness, ContentionEndsEveryOpAndStarvesNoClientAcrossSeeds) {
+  // bench_scale's 64-node contention row, as soda_trend gates it (no
+  // client starved, every op ends completed or TIMEDOUT), held on a seed
+  // sweep rather than on seed 1 alone.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     HarnessOptions o;
     o.workload = Workload::kContention;
     o.nodes = 64;
     o.ops_per_client = 12;
     o.seed = seed;
-    o.optimized = false;
-    const HarnessResult base = run_harness(o);
-    o.optimized = true;
-    const HarnessResult opt = run_harness(o);
-    EXPECT_EQ(base.violations, 0u) << "seed " << seed;
-    EXPECT_EQ(opt.violations, 0u) << "seed " << seed;
-    EXPECT_GE(opt.goodput_ops_per_s, base.goodput_ops_per_s) << "seed " << seed;
-    EXPECT_GT(opt.ops_min, 0u) << "seed " << seed;
+    const HarnessResult r = run_harness(o);
+    EXPECT_EQ(r.violations, 0u) << "seed " << seed << ": "
+                                << r.first_violation;
+    EXPECT_EQ(r.ops_done + r.requests_timedout, r.ops_expected)
+        << "seed " << seed;
+    EXPECT_GT(r.ops_min, 0u) << "seed " << seed;
   }
 }
 
@@ -115,7 +96,6 @@ HarnessOptions pool_options(int pool_size) {
   o.ops_per_client = 6;
   o.seed = 11;
   o.fast = true;
-  o.optimized = true;
   o.retransmit_backoff = true;
   return o;
 }
@@ -166,36 +146,19 @@ TEST(ScaleHarness, RunsAreBitDeterministic) {
   EXPECT_NE(a.trace_hash, c.trace_hash);  // seeds explore schedules
 }
 
-// --- the O(N) fixes must actually win, not just not break things ---
-
-TEST(ScaleHarness, BatchedTimersReduceEventChurn) {
-  auto o = base_options(Workload::kStarRpc, 32, 0.0);
-  o.optimized = false;
-  const HarnessResult base = run_harness(o);
-  o.optimized = true;
-  const HarnessResult opt = run_harness(o);
-  // Same workload outcome...
-  EXPECT_EQ(base.ops_done, base.ops_expected);
-  EXPECT_EQ(opt.ops_done, opt.ops_expected);
-  EXPECT_EQ(base.violations, 0u);
-  EXPECT_EQ(opt.violations, 0u);
-  // ...with measurably less timer bookkeeping in the event queue.
-  EXPECT_LT(opt.events_scheduled, base.events_scheduled);
-  EXPECT_LT(opt.events_cancelled, base.events_cancelled);
-}
+// --- the NIC pattern filter ---
 
 TEST(ScaleHarness, NicPatternFilterShieldsDiscoverStorm) {
   auto o = base_options(Workload::kDiscoverStorm, 16, 0.0);
-  o.optimized = false;
-  const HarnessResult base = run_harness(o);
-  o.optimized = true;
-  const HarnessResult opt = run_harness(o);
-  EXPECT_EQ(base.ops_done, base.ops_expected);
-  EXPECT_EQ(opt.ops_done, opt.ops_expected);
-  // The filter suppresses non-matching broadcast deliveries wholesale.
-  EXPECT_GT(opt.frames_filtered, 0u);
-  EXPECT_EQ(base.frames_filtered, 0u);
-  EXPECT_LT(opt.events_executed, base.events_executed);
+  const HarnessResult r = run_harness(o);
+  EXPECT_EQ(r.ops_done, r.ops_expected);
+  EXPECT_EQ(r.violations, 0u) << r.first_violation;
+  // Every DISCOVER broadcast is filtered at each other client's NIC:
+  // only the servers advertise the pattern, so at least (clients - 1)
+  // deliveries per completed discover never interrupt a station.
+  const std::uint64_t clients =
+      static_cast<std::uint64_t>(o.nodes - o.servers);
+  EXPECT_GE(r.frames_filtered, r.ops_done * (clients - 1));
 }
 
 // --- the 32-node chaos regression gate ---

@@ -212,20 +212,6 @@ TEST_F(TransportTest, AdaptiveBusyBackoffBoundedMonotoneJittered) {
                                            static_cast<std::ptrdiff_t>(n)));
 }
 
-TEST_F(TransportTest, LegacyLinearRampWhenAdaptiveOff) {
-  TimingModel legacy = timing;
-  legacy.adaptive_busy_backoff = false;
-  const auto delays = busy_delay_sequence(5, legacy, 2 * sim::kSecond);
-  ASSERT_GT(delays.size(), 3u);
-  for (std::size_t i = 0; i < delays.size(); ++i) {
-    const auto expect =
-        std::min(legacy.busy_retry_interval +
-                     legacy.busy_retry_growth * static_cast<sim::Duration>(i),
-                 legacy.busy_retry_max);
-    EXPECT_EQ(delays[i], expect) << "delay " << i;
-  }
-}
-
 TEST_F(TransportTest, ShedHintRaisesBackoffFloor) {
   TimingModel t = timing;
   sim::Simulator s(5);

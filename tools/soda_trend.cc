@@ -1,21 +1,24 @@
 // soda_trend: summarize every BENCH_*.jsonl in a directory into one
-// trend report — paper-table stream ranges, chaos sweep pass/fail, and
-// the base->optimized scaling wins from BENCH_scale.jsonl.
+// trend report — paper-table stream ranges, chaos sweep pass/fail, the
+// scaling matrix and overload goodput from BENCH_scale.jsonl, and fleet
+// runs.
 //
 // Usage:
 //   soda_trend [dir]          ingest BENCH_*.jsonl under dir (default .)
 //   soda_trend --files f...   ingest exactly the listed files
 //   soda_trend --diff OLD NEW compare two snapshot directories
-//                             (before/after a PR) and flag regressions
+//                             (before/after a change) and flag regressions
 //
-// Exit status is 1 when any chaos sweep recorded failures, any scale row
-// recorded an invariant violation, the 64-node contention workload
-// regressed (optimized goodput below base, or starvation: some client
-// finished zero ops while the base mode starved nobody), or the 128-node
-// anycast pool sweep lost its scaling headline (8-server pool goodput
-// below 4x the single-server pool), or a fleet run (BENCH_fleet.jsonl)
-// recorded violations / wedged workers / a real-vs-sim twin mismatch, so
-// CI can gate on it. --diff exits 1 when any [WORSE] line is printed.
+// Exit status is 1 when any gate of bench::trend_gate_failures fails,
+// each named on stderr: a chaos sweep recorded failures, a scale row
+// recorded an invariant violation, the 64-node single-server contention
+// row starved a client or left an op without exactly one terminal state
+// (ops_done + timedout != ops_expected), the single-segment 128-node
+// anycast pool sweep lost its headline (8-server pool goodput below 4x
+// the 1-server pool), or a fleet run (BENCH_fleet.jsonl) recorded
+// violations / wedged workers / a real-vs-sim twin mismatch. --diff exits
+// 1 when any [WORSE] line is printed; goodput regressions are caught
+// there, against the committed baseline.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -68,66 +71,9 @@ int main(int argc, char** argv) {
   const TrendReport report = build_trend_report(paths);
   std::fputs(format_trend_report(report).c_str(), stdout);
 
-  bool failing = false;
-  for (const auto& c : report.chaos) failing |= c.failures > 0;
-  // Fleet gate (doc/FLEET.md): any invariant violation over the merged
-  // real-process trace, a wedged or unexpectedly-dead worker, or a
-  // real-vs-simulated twin mismatch fails the snapshot. Skipped runs
-  // (environments without fork/sockets) never do.
-  for (const auto& f : report.fleet) {
-    if (f.violations > 0 || f.wedged > 0 || f.unexpected_exits > 0 ||
-        f.twin_mismatches > 0) {
-      std::fprintf(stderr,
-                   "soda_trend: fleet %s failing: violations=%ld wedged=%ld "
-                   "unexpected=%ld twin_mismatch=%ld\n",
-                   f.scenario.c_str(), f.violations, f.wedged,
-                   f.unexpected_exits, f.twin_mismatches);
-      failing = true;
-    }
+  const std::vector<std::string> failures = trend_gate_failures(report);
+  for (const std::string& f : failures) {
+    std::fprintf(stderr, "soda_trend: %s\n", f.c_str());
   }
-  // Anycast pool gate (doc/OVERLOAD.md §4): the 128-node contention storm
-  // against an 8-server pool must deliver at least 4x the goodput of the
-  // same storm against a single server. Checked whenever both rows are in
-  // the snapshot.
-  double pool1_goodput = -1, pool8_goodput = -1;
-  int pool_nodes = 0;
-  for (const auto& t : report.scale) {
-    if (t.workload != "contention" || t.nodes < 128) continue;
-    if (t.pool_size == 1) pool1_goodput = t.opt_goodput;
-    if (t.pool_size == 8) {
-      pool8_goodput = t.opt_goodput;
-      pool_nodes = t.nodes;
-    }
-  }
-  if (pool1_goodput >= 0 && pool8_goodput >= 0 &&
-      pool8_goodput < 4.0 * pool1_goodput) {
-    std::fprintf(stderr,
-                 "soda_trend: contention@%d pool scaling regression: "
-                 "pool8 goodput %.0f < 4x pool1 goodput %.0f ops/s\n",
-                 pool_nodes, pool8_goodput, pool1_goodput);
-    failing = true;
-  }
-  for (const auto& t : report.scale) {
-    failing |= t.violations > 0;
-    // Overload gate: at 64 nodes the adaptive-backoff + admission mode
-    // must beat the legacy ramp on goodput and must not starve a client
-    // the legacy mode didn't starve.
-    if (t.workload == "contention" && t.nodes >= 64 && t.base_goodput > 0) {
-      if (t.opt_goodput < t.base_goodput) {
-        std::fprintf(stderr,
-                     "soda_trend: contention@%d goodput regression: "
-                     "opt %.0f < base %.0f ops/s\n",
-                     t.nodes, t.opt_goodput, t.base_goodput);
-        failing = true;
-      }
-      if (t.opt_ops_min <= 0 && t.base_ops_min > 0) {
-        std::fprintf(stderr,
-                     "soda_trend: contention@%d fairness regression: "
-                     "a client starved (opt min %.0f, base min %.0f)\n",
-                     t.nodes, t.opt_ops_min, t.base_ops_min);
-        failing = true;
-      }
-    }
-  }
-  return failing ? 1 : 0;
+  return failures.empty() ? 0 : 1;
 }
