@@ -45,9 +45,7 @@ HarnessResult run(Workload w, int nodes, double loss, std::uint64_t seed,
   o.segments = segments;
   o.loss = loss;
   o.seed = seed;
-  o.fast = true;
   o.retransmit_backoff = backoff;
-  o.check_invariants = true;
   return run_harness(o);
 }
 

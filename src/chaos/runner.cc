@@ -9,9 +9,8 @@
 #include <utility>
 
 #include "chaos/workload.h"
-#include "core/network.h"
-#include "stats/metrics.h"
 #include "inet/internet.h"
+#include "stats/metrics.h"
 
 namespace soda::chaos {
 
@@ -134,10 +133,8 @@ void install_link_faults(sim::Simulator& sim, net::Bus& bus, int bus_segment,
 /// workload client; the kernel keeps its monotone TID floor and its
 /// Delta-t quarantine across the reboot (§5.4), so rebooting before the
 /// quarantine elapses is protocol-safe — the transport just stays silent
-/// until it expires. Works against either topology (Network or
-/// inet::Internet — both expose sim() and node(mid)).
-template <typename Net>
-void schedule_crashes(Net& net, const Scenario& s) {
+/// until it expires.
+void schedule_crashes(Network& net, const Scenario& s) {
   auto& sim = net.sim();
   for (const Fault& f : s.faults) {
     if (f.kind != FaultKind::kCrash) continue;
@@ -224,30 +221,21 @@ RunResult run_guarded(const Scenario& scenario, std::uint64_t seed,
 RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
                        const InvariantFactory& extra,
                        const RunOptions& options) {
-  // Topology: the classic single broadcast bus, or — when the scenario
-  // declares segments — an internetwork of per-segment buses joined by one
-  // hub gateway. Node MID i lives on segment i % segments, so servers and
+  // Topology: one broadcast bus per segment — the paper's single bus when
+  // the scenario declares one — joined by one hub gateway when there are
+  // several. Node MID i lives on segment i % segments, so servers and
   // load clients spread across segments and a share of every run's
   // traffic crosses the store-and-forward relay.
-  const int segments = scenario.segments > 1 ? scenario.segments : 1;
-  std::unique_ptr<Network> single;
-  std::unique_ptr<inet::Internet> internet;
-  if (segments > 1) {
-    inet::Internet::Options iopts;
-    iopts.seed = seed;
-    iopts.segments = segments;
-    if (scenario.fast) {
-      iopts.bus = net::BusConfig::fast();
-      iopts.gateway = inet::GatewayConfig::fast();
-    }
-    internet = std::make_unique<inet::Internet>(std::move(iopts));
-  } else {
-    Network::Options nopts;
-    nopts.seed = seed;
-    if (scenario.fast) nopts.bus = net::BusConfig::fast();
-    single = std::make_unique<Network>(nopts);
+  const int segments = std::max(1, scenario.segments);
+  inet::Internet::Options topts;
+  topts.seed = seed;
+  topts.segments = segments;
+  if (scenario.fast) {
+    topts.bus = net::BusConfig::fast();
+    topts.gateway = inet::GatewayConfig::fast();
   }
-  auto& sim = single ? single->sim() : internet->sim();
+  inet::Internet topology(topts);
+  auto& sim = topology.sim();
   sim.enable_partitions(partition_count(segments, scenario.nodes));
   sim.trace().enable_all();
   sim.trace().set_store(options.keep_events);
@@ -302,14 +290,13 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
       if (direct || whole_segment) apply_timer_skew(cfg.timing, f.factor);
     }
     timings.push_back(cfg.timing);
-    Node& n = single ? single->add_node(std::move(cfg))
-                     : internet->add_node(seg, std::move(cfg));
+    Node& n = topology.add_node(seg, std::move(cfg));
     n.install_client(make_workload_client(scenario, static_cast<Mid>(mid)),
                      n.mid());
   }
   // The hub bridge takes MID == scenario.nodes (next off the shared
   // counter) — scenario faults never address it as a node.
-  if (internet) internet->add_gateway();
+  if (segments > 1) topology.add_gateway();
 
   // Construction-time Delta-t validation: the workload only exchanges
   // sequenced traffic between clients and servers, so check each such pair
@@ -341,31 +328,23 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
     }
   }
 
-  if (single) {
-    install_link_faults(sim, single->bus(), 0, scenario);
-    schedule_crashes(*single, scenario);
-    // The lookahead fixes the window boundaries, and the boundaries are
-    // part of the epoch-2 contract.
-    sim.set_lookahead(single->bus().config().propagation);
-    single->run_for(scenario.end_time());
-    single->check_clients();
-  } else {
-    for (int s = 0; s < segments; ++s) {
-      install_link_faults(sim, internet->bus(s), s, scenario);
-    }
-    schedule_crashes(*internet, scenario);
-    install_inet_faults(*internet, scenario);
-    sim.set_lookahead(internet->lookahead());
-    internet->run_for(scenario.end_time());
-    internet->check_clients();
+  for (int s = 0; s < segments; ++s) {
+    install_link_faults(sim, topology.bus(s), s, scenario);
   }
+  schedule_crashes(topology, scenario);
+  install_inet_faults(topology, scenario);
+  // The lookahead fixes the window boundaries, and the boundaries are
+  // part of the epoch-2 contract.
+  sim.set_lookahead(topology.lookahead());
+  topology.run_for(scenario.end_time());
+  topology.check_clients();
   invariants.finish(sim.now());
 
   result.trace_hash = hash;
   result.lookahead_violations = sim.lookahead_violations();
   result.violations = invariants.violations();
   for (int s = 0; s < segments; ++s) {
-    net::Bus& b = single ? single->bus() : internet->bus(s);
+    net::Bus& b = topology.bus(s);
     result.stats.frames_sent += b.frames_sent();
     result.stats.frames_lost += b.frames_lost();
     result.stats.frames_duplicated += b.frames_duplicated();

@@ -68,11 +68,11 @@ struct Scenario {
   std::string name = "unnamed";
   int nodes = 4;
   int servers = 1;  // MIDs [0, servers) run echo servers, the rest load
-  /// Bus segments. 1 = the classic single broadcast bus (core::Network).
-  /// > 1 = an inet::Internet: node MID i lives on segment i % segments and
-  /// one hub gateway (MID `nodes`) bridges every segment — so servers and
-  /// clients spread across segments and a share of all traffic crosses
-  /// the relay (doc/INTERNET.md).
+  /// Bus segments. 1 = the paper's single broadcast bus. > 1: node MID i
+  /// lives on segment i % segments and one hub gateway (MID `nodes`)
+  /// bridges every segment — so servers and clients spread across
+  /// segments and a share of all traffic crosses the relay
+  /// (doc/INTERNET.md).
   int segments = 1;
   sim::Duration duration = 10 * sim::kSecond;  // load-generation phase
   sim::Duration drain = 10 * sim::kSecond;     // quiesce phase (no new load)

@@ -107,8 +107,8 @@ class Gateway {
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
 
-  /// Attach this gateway to a segment. `segment_id` is the id the bus was
-  /// given via Bus::set_segment (used in route dumps and trace details).
+  /// Attach this gateway to a segment. `segment_id` is the bus's index in
+  /// the topology (used in route dumps and trace details).
   /// Call once per segment, before the simulation runs.
   void attach_segment(int segment_id, net::Bus& bus);
 

@@ -100,9 +100,9 @@ class Bus {
 
   /// Segment id stamped into this bus's packet-trace events (detail field)
   /// so multi-segment traces are attributable. -1 (the default) stamps
-  /// nothing, keeping single-bus trace hashes byte-identical.
+  /// nothing, keeping single-bus trace hashes byte-identical; Network sets
+  /// it only while it has two or more segments.
   void set_segment(int segment) { segment_ = segment; }
-  int segment() const { return segment_; }
 
   Bus(const Bus&) = delete;
   Bus& operator=(const Bus&) = delete;

@@ -12,7 +12,7 @@
 // pooled node (CoW) rather than touch the shared one.
 //
 // Lifetime: delivery events legitimately outlive the Bus (core::Network
-// tears the bus down while the simulator still holds scheduled events
+// tears its buses down while the simulator still holds scheduled events
 // whose closures own FrameRefs). The pool's core is therefore heap-
 // allocated and reference-counted by the pool handle plus every live
 // FrameRef; whichever dies last frees it.

@@ -12,7 +12,6 @@
 #include "apps/replicated_store.h"
 #include "chaos/invariants.h"
 #include "chaos/runner.h"
-#include "core/network.h"
 #include "inet/internet.h"
 #include "sodal/nameserver.h"
 #include "sodal/sodal.h"
@@ -156,7 +155,9 @@ class StoreClient final : public sodal::SodalClient {
 
 /// Name-service storm: each client grows its own directory one binding at
 /// a time and LISTs it after every bind; the server's indexed table
-/// touches only the client's own directory per LIST.
+/// touches only the client's own directory per LIST. A LIST is correct
+/// when it returns every binding the client has made so far, so a bind
+/// that ended TIMEDOUT costs that one op, not every later LIST.
 class NameClient final : public sodal::SodalClient {
  public:
   NameClient(const HarnessOptions& o, Tally* tally) : o_(o), tally_(tally) {}
@@ -165,14 +166,16 @@ class NameClient final : public sodal::SodalClient {
     const ServerSignature ns{0, sodal::kNameServerPattern};
     const ServerSignature self{my_mid(), kScalePattern};
     const std::string dir = "n" + std::to_string(my_mid());
+    std::size_t bound = 0;
     for (int i = 0; i < o_.ops_per_client; ++i) {
       auto st = co_await sodal::ns_bind(
           *this, ns, dir + "/k" + std::to_string(i), self);
-      if (st.ok()) tally_->op_done();
-      auto ls = co_await sodal::ns_list(*this, ns, dir);
-      if (ls.ok() && static_cast<int>(ls->size()) == i + 1) {
+      if (st.ok()) {
+        ++bound;
         tally_->op_done();
       }
+      auto ls = co_await sodal::ns_list(*this, ns, dir);
+      if (ls.ok() && ls->size() == bound) tally_->op_done();
     }
     tally_->finish();
     co_await park_forever();
@@ -234,8 +237,7 @@ std::unique_ptr<Client> make_scale_client(const HarnessOptions& o, int mid,
       // The server dawdles before accepting, so demand from N-1
       // back-to-back clients always exceeds its service rate.
       if (is_server) {
-        return std::make_unique<ScaleEchoServer>(
-            /*dawdle=*/o.fast ? 100 : 10'000);
+        return std::make_unique<ScaleEchoServer>(/*dawdle=*/100);
       }
       return std::make_unique<ContentionClient>(
           o, tally, static_cast<std::size_t>(mid - o.servers));
@@ -283,49 +285,35 @@ HarnessResult run_harness(const HarnessOptions& opts) {
   }
   o.servers = std::clamp(o.servers, 1, std::max(1, o.nodes - 1));
 
-  // Topology: segments == 1 keeps core::Network — the configuration every
-  // committed baseline row and pinned hash was recorded under. Multi-
-  // segment runs build an inet::Internet with a hub gateway instead.
-  const int segments = o.segments > 1 ? o.segments : 1;
-  std::unique_ptr<Network> net_single;
-  std::unique_ptr<inet::Internet> internet;
-  if (segments > 1) {
-    inet::Internet::Options iopts;
-    iopts.seed = o.seed;
-    iopts.segments = segments;
-    if (o.fast) {
-      iopts.bus = net::BusConfig::fast();
-      iopts.gateway = inet::GatewayConfig::fast();
-    }
-    internet = std::make_unique<inet::Internet>(std::move(iopts));
-  } else {
-    Network::Options nopts;
-    nopts.seed = o.seed;
-    if (o.fast) nopts.bus = net::BusConfig::fast();
-    net_single = std::make_unique<Network>(nopts);
-  }
-  auto& sim = net_single ? net_single->sim() : internet->sim();
+  // Topology: one fast bus per segment; with several, node MID i lives on
+  // segment i % segments and one hub gateway bridges them.
+  const int segments = std::max(1, o.segments);
+  inet::Internet::Options topts;
+  topts.seed = o.seed;
+  topts.segments = segments;
+  topts.bus = net::BusConfig::fast();
+  topts.gateway = inet::GatewayConfig::fast();
+  inet::Internet topology(topts);
+  auto& sim = topology.sim();
 
   // Partition the event queue before the first node schedules anything.
   sim.enable_partitions(chaos::partition_count(segments, o.nodes));
 
   chaos::InvariantSet invariants = chaos::InvariantSet::standard();
   std::uint64_t hash = chaos::kTraceHashSeed;
-  if (o.check_invariants) {
-    sim.trace().enable_all();
-    sim.trace().set_store(false);
-    sim.trace().set_observer([&](const sim::TraceEvent& e) {
-      hash = chaos::hash_event(hash, e);
-      invariants.on_event(e);
-    });
-  }
+  sim.trace().enable_all();
+  sim.trace().set_store(false);
+  sim.trace().set_observer([&](const sim::TraceEvent& e) {
+    hash = chaos::hash_event(hash, e);
+    invariants.on_event(e);
+  });
 
   const int clients = o.nodes - o.servers;
   Tally tally;
   tally.per_client.assign(static_cast<std::size_t>(clients), 0);
   for (int mid = 0; mid < o.nodes; ++mid) {
     NodeConfig cfg;
-    if (o.fast) cfg.timing = TimingModel::fast();
+    cfg.timing = TimingModel::fast();
     // Default-off in NodeConfig only because turning it on there would
     // change every chaos scenario's pinned trace hash.
     cfg.nic_pattern_filter = true;
@@ -336,30 +324,26 @@ HarnessResult run_harness(const HarnessOptions& opts) {
     // BUSY NACKs on requests that later exhaust their retry budget
     // (EXPERIMENTS.md). The other workloads keep the fixed watermarks.
     cfg.adaptive_admission = o.workload == Workload::kContention;
-    Node& n = net_single
-                  ? net_single->add_node(std::move(cfg))
-                  : internet->add_node(mid % segments, std::move(cfg));
+    Node& n = topology.add_node(mid % segments, std::move(cfg));
     n.install_client(make_scale_client(o, mid, &tally), n.mid());
   }
   // The hub bridge takes MID == o.nodes, the next off the shared counter.
-  if (internet) internet->add_gateway();
+  if (segments > 1) topology.add_gateway();
 
   if (o.loss > 0) {
     for (int s = 0; s < segments; ++s) {
-      net::Bus& b = net_single ? net_single->bus() : internet->bus(s);
-      b.set_loss_filter([&sim, p = o.loss](const net::Frame&, Mid) {
-        return sim.rng().chance(p);
-      });
+      topology.bus(s).set_loss_filter(
+          [&sim, p = o.loss](const net::Frame&, Mid) {
+            return sim.rng().chance(p);
+          });
     }
   }
 
-  const sim::Duration slice =
-      o.fast ? 2 * sim::kMillisecond : 20 * sim::kMillisecond;
+  const sim::Duration slice = 2 * sim::kMillisecond;
 
   // The lookahead and the sim.now() + slice deadlines below fix the
   // window boundaries, which are part of the epoch-2 hash contract.
-  sim.set_lookahead(net_single ? net_single->bus().config().propagation
-                               : internet->lookahead());
+  sim.set_lookahead(topology.lookahead());
 
   const auto wall_start = std::chrono::steady_clock::now();
   std::uint64_t executed = 0;
@@ -368,12 +352,8 @@ HarnessResult run_harness(const HarnessOptions& opts) {
   }
   const auto wall_end = std::chrono::steady_clock::now();
 
-  if (net_single) {
-    net_single->check_clients();
-  } else {
-    internet->check_clients();
-  }
-  if (o.check_invariants) invariants.finish(sim.now());
+  topology.check_clients();
+  invariants.finish(sim.now());
 
   HarnessResult r;
   r.sim_elapsed = sim.now();
@@ -387,15 +367,12 @@ HarnessResult run_harness(const HarnessOptions& opts) {
   r.events_scheduled = sim.events_scheduled();
   r.events_cancelled = sim.events_cancelled();
   for (int s = 0; s < segments; ++s) {
-    net::Bus& b = net_single ? net_single->bus() : internet->bus(s);
-    r.frames_sent += b.frames_sent();
-    r.frames_filtered += b.frames_filtered();
+    r.frames_sent += topology.bus(s).frames_sent();
+    r.frames_filtered += topology.bus(s).frames_filtered();
   }
-  if (internet) {
-    for (const auto& g : internet->gateways()) {
-      r.frames_relayed += g->forwarded();
-      r.relay_drops += g->ttl_drops() + g->overflow_drops();
-    }
+  for (const auto& g : topology.gateways()) {
+    r.frames_relayed += g->forwarded();
+    r.relay_drops += g->ttl_drops() + g->overflow_drops();
   }
   const auto& hub = sim.metrics();
   r.requests_issued = hub.total(stats::Counter::kRequestsIssued);
@@ -419,15 +396,13 @@ HarnessResult run_harness(const HarnessOptions& opts) {
           ? 2 * static_cast<std::uint64_t>(o.ops_per_client)
           : static_cast<std::uint64_t>(o.ops_per_client);
   r.ops_expected = per_client * static_cast<std::uint64_t>(clients);
-  if (o.check_invariants) {
-    const auto v = invariants.violations();
-    r.violations = v.size();
-    if (!v.empty()) r.first_violation = v.front().invariant + ": " +
-                                        v.front().detail;
-    r.trace_hash = hash;
-    // The observer references locals of this frame; drop it before return.
-    sim.trace().set_observer(nullptr);
-  }
+  const auto v = invariants.violations();
+  r.violations = v.size();
+  if (!v.empty()) r.first_violation = v.front().invariant + ": " +
+                                      v.front().detail;
+  r.trace_hash = hash;
+  // The observer references locals of this frame; drop it before return.
+  sim.trace().set_observer(nullptr);
   r.lookahead_violations = sim.lookahead_violations();
   return r;
 }

@@ -5,7 +5,8 @@
 // A harness run is a pure function of its options (same determinism
 // contract as soda::chaos): the invariant checkers ride along on the
 // trace stream, so the scaling bench doubles as a correctness sweep.
-// Every run builds the one shipped node stack: the NIC broadcast pattern
+// Every run uses the fast timing, bus and gateway presets and builds the
+// one shipped node stack: the NIC broadcast pattern
 // filter (net::Bus), batched protocol timers, adaptive BUSY backoff with
 // the retry budget, the fixed admission watermarks (load-adaptive ones on
 // contention rows) and the indexed name-server table. The before/after
@@ -44,23 +45,19 @@ struct HarnessOptions {
   /// (doc/OVERLOAD.md §4).
   int pool_size = 0;
   int ops_per_client = 20;  // blocking operations per load client
-  /// Bus segments. 1 = the classic single broadcast bus (core::Network,
-  /// the configuration every committed baseline row was recorded under).
-  /// > 1 = an inet::Internet: node MID i lives on segment i % segments
-  /// and one hub gateway bridges them, so servers and clients spread
-  /// across segments and a share of all operations crosses the
-  /// store-and-forward relay (doc/INTERNET.md).
+  /// Bus segments. 1 = the paper's single broadcast bus. > 1: node MID i
+  /// lives on segment i % segments and one hub gateway bridges them, so
+  /// servers and clients spread across segments and a share of all
+  /// operations crosses the store-and-forward relay (doc/INTERNET.md).
   int segments = 1;
   std::uint32_t payload = 64;
   double loss = 0.0;        // uniform frame-loss probability
   std::uint64_t seed = 1;
-  bool fast = true;  // TimingModel::fast() + BusConfig::fast()
   /// Exponential retransmit backoff (TimingModel knob). Off by default —
   /// the fixed 1984 interval — so existing rows and pinned hashes stand;
   /// the 128/256-node tiers turn it on (the crash detector's constant
   /// silence window is what collapses there, EXPERIMENTS.md).
   bool retransmit_backoff = false;
-  bool check_invariants = true;
   sim::Duration max_sim_time = 120 * sim::kSecond;  // hard stop
 };
 

@@ -4,12 +4,16 @@
 // bounded egress queues (overflow shedding + retransmit coalescing),
 // heterogeneous per-segment link speeds, the relay shim's wire format,
 // per-segment chaos fault targeting, the multi-segment chaos builtins,
+// the one-segment rules (no segment stamp, MID-keyed wheels),
 // bit-determinism of two-segment runs, and the 1024-node two-segment
 // acceptance tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <optional>
+#include <stdexcept>
+#include <variant>
 #include <vector>
 
 #include "chaos/runner.h"
@@ -94,6 +98,12 @@ NodeConfig fast_node() {
   return c;
 }
 
+InternetOptions with_segments(int segments) {
+  InternetOptions o;
+  o.segments = segments;
+  return o;
+}
+
 InternetOptions fast_inet(int segments) {
   InternetOptions o;
   o.segments = segments;
@@ -102,10 +112,77 @@ InternetOptions fast_inet(int segments) {
   return o;
 }
 
+// --- one topology: a one-segment Internet is the paper's single bus ---
+
+/// Segment id the kPacketSent event of a bare frame sent on bus `s`
+/// carries; nullopt when the bus stamps none.
+std::optional<std::int64_t> sent_stamp(Internet& net, int s) {
+  auto& trace = net.sim().trace();
+  trace.enable_all();
+  trace.clear();
+  net::Frame f;
+  f.src = 0;
+  f.dst = 99;  // no station answers; only the send matters
+  net.bus(s).send(f);
+  for (const sim::TraceEvent& e : trace.events()) {
+    if (e.category != sim::TraceCategory::kPacketSent) continue;
+    if (const auto* d = std::get_if<std::int64_t>(&e.detail)) return *d;
+    return std::nullopt;
+  }
+  ADD_FAILURE() << "no kPacketSent event on bus " << s;
+  return std::nullopt;
+}
+
+TEST(InetTopology, OneSegmentStampsNoSegmentAndKeysWheelsByMid) {
+  Internet net;
+  net.sim().enable_partitions(3);
+  for (int i = 0; i < 5; ++i) net.add_node();
+  for (Mid m = 0; m < 5; ++m) EXPECT_EQ(net.node(m).partition(), m % 3);
+  EXPECT_EQ(sent_stamp(net, 0), std::nullopt);
+  EXPECT_EQ(net.lookahead(), net.bus().config().propagation);
+}
+
+TEST(InetTopology, TwoSegmentsStampEachBusAndKeyWheelsBySegment) {
+  Internet net(with_segments(2));
+  net.sim().enable_partitions(2);
+  const int segment_of_mid[] = {1, 1, 0, 0};
+  for (int seg : segment_of_mid) net.add_node(seg);
+  for (Mid m = 0; m < 4; ++m) {
+    EXPECT_EQ(net.node(m).partition(), segment_of_mid[m]);
+    EXPECT_EQ(net.segment_of(m), segment_of_mid[m]);
+  }
+  EXPECT_EQ(sent_stamp(net, 0), std::optional<std::int64_t>(0));
+  EXPECT_EQ(sent_stamp(net, 1), std::optional<std::int64_t>(1));
+}
+
+TEST(InetTopology, AddSegmentStartsStampingBusZero) {
+  Internet net;
+  EXPECT_EQ(sent_stamp(net, 0), std::nullopt);
+  EXPECT_EQ(net.add_segment(), 1);
+  EXPECT_EQ(net.segments(), 2);
+  EXPECT_EQ(sent_stamp(net, 0), std::optional<std::int64_t>(0));
+  EXPECT_EQ(sent_stamp(net, 1), std::optional<std::int64_t>(1));
+}
+
+TEST(InetTopology, NodeOfAGatewayMidThrows) {
+  Internet net(with_segments(2));
+  net.add_node(0);
+  net.add_node(1);
+  Gateway& g = net.add_gateway();
+  Node& late = net.add_node(1);
+  ASSERT_EQ(g.mid(), 2);
+  ASSERT_EQ(late.mid(), 3);
+  EXPECT_THROW(net.node(g.mid()), std::out_of_range);
+  EXPECT_EQ(net.segment_of(g.mid()), -1);
+  EXPECT_THROW(net.node(4), std::out_of_range);
+  EXPECT_EQ(&net.node(3), &late);
+  EXPECT_EQ(net.size(), 3u);
+}
+
 // --- cross-segment transport + route learning ---
 
 TEST(Inet, CrossSegmentRpcCompletesAndLearnsRoutes) {
-  Internet net(InternetOptions{.segments = 2});
+  Internet net(with_segments(2));
   net.spawn<Advertiser>(0, NodeConfig{});  // MID 0 on segment 0
   auto& d = net.spawn<Driver>(1, NodeConfig{}, [](Driver& self) -> sim::Task {
     auto c = co_await self.b_signal(ServerSignature{0, kSvc}, 0);
@@ -134,7 +211,7 @@ TEST(Inet, CrossSegmentRpcCompletesAndLearnsRoutes) {
 }
 
 TEST(Inet, DiscoverCrossesGatewayAndSeedsPatternRoutes) {
-  Internet net(InternetOptions{.segments = 2});
+  Internet net(with_segments(2));
   net.spawn<Advertiser>(0, NodeConfig{});  // MID 0, segment 0
   net.spawn<Advertiser>(1, NodeConfig{});  // MID 1, segment 1
   auto& d = net.spawn<DiscoverClient>(1, NodeConfig{});  // MID 2, segment 1
@@ -349,7 +426,7 @@ TEST(InetWire, RelayShimRoundTripsAndUnrelayedFramesPayNothing) {
 // --- directory services behind a gateway (both 12-byte wire formats) ---
 
 TEST(InetDirectory, NameServerPoolBindingRoundTripsAcrossGateway) {
-  Internet net(InternetOptions{.segments = 2});
+  Internet net(with_segments(2));
   net.spawn<NameServer>(0, NodeConfig{});  // MID 0, segment 0
   auto& d = net.spawn<Driver>(1, NodeConfig{}, [](Driver& self) -> sim::Task {
     const Directory dir =
@@ -378,7 +455,7 @@ TEST(InetDirectory, SwitchboardWatchSeesLateBindAcrossGateway) {
   // The §4.3.1 interconnection idiom with the two parties on different
   // segments: the watcher polls through the gateway while the binding is
   // published from the far side, later.
-  Internet net(InternetOptions{.segments = 2});
+  Internet net(with_segments(2));
   net.spawn<Switchboard>(0, NodeConfig{});  // MID 0, segment 0
   net.spawn<Driver>(0, NodeConfig{}, [](Driver& self) -> sim::Task {
     co_await self.delay(200 * sim::kMillisecond);
@@ -490,7 +567,6 @@ TEST(InetScale, TwoSegmentThousandNodeStarRpcCompletes) {
   o.segments = 2;
   o.ops_per_client = 12;
   o.seed = 4;
-  o.fast = true;
   o.retransmit_backoff = true;
   const scale::HarnessResult r = run_harness(o);
   EXPECT_EQ(r.ops_done, r.ops_expected);

@@ -82,8 +82,8 @@ Pattern parse_pattern(const std::string& s) {
 
 int main() {
   // One segment by default — `segment` + `gateway` grow it into an
-  // internetwork (doc/INTERNET.md). Single-segment sessions behave
-  // exactly like the old Network-backed shell.
+  // internetwork (doc/INTERNET.md). Until then the session is the
+  // paper's single bus: a one-segment Internet is a core::Network.
   inet::Internet net;
   std::vector<Mid> node_mids;      // nodes in creation order (not gateways)
   std::vector<Bytes> get_buffers;  // keep GET targets alive
