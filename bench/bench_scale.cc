@@ -6,7 +6,8 @@
 // then push contention and star-RPC to 128/256 nodes with exponential
 // retransmit backoff. One row per tier lands in BENCH_scale.jsonl for the
 // trend tooling; wall-clock columns (wall_ms, events_per_wall_s,
-// peak_rss_kb) are host-dependent and gated only loosely. Every run walks
+// peak_rss_kb) are host-dependent and gated only loosely, while
+// slab_bytes is the row's own deterministic footprint. Every run walks
 // the epoch-2 window protocol (one partition per segment, or per node on
 // a single bus).
 #include <cstdio>
@@ -82,6 +83,7 @@ int main(int argc, char** argv) {
                    .set("wall_ms", r.wall_ms)
                    .set("events_per_wall_s", r.events_per_wall_s)
                    .set("peak_rss_kb", r.peak_rss_kb)
+                   .set("slab_bytes", r.slab_bytes)
                    .set("events_executed", r.events_executed)
                    .set("events_scheduled", r.events_scheduled)
                    .set("events_cancelled", r.events_cancelled)

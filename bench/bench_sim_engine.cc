@@ -18,6 +18,7 @@
 #include <string>
 
 #include "benchsupport/stream.h"
+#include "chaos/invariants.h"
 #include "chaos/runner.h"
 #include "core/network.h"
 #include "sim/event_queue.h"
@@ -221,6 +222,50 @@ void BM_TraceHashOrderedFnv(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_TraceHashOrderedFnv);
+
+// The observer's other per-event cost: the four standard invariant
+// checkers fed a synthetic closed-loop request stream — 64 nodes, each
+// issuing 64 requests to a neighbour, every request issued, delivered,
+// handled, accepted and completed — from a fresh set per iteration, so
+// the per-request state the checkers build is part of the measurement.
+void BM_InvariantSetStandard(benchmark::State& state) {
+  constexpr int kNodes = 64, kPerNode = 64;
+  std::vector<sim::TraceEvent> evs;
+  sim::Time t = 0;
+  const auto push = [&evs, &t](sim::TraceCategory c, int node, int peer,
+                               std::int32_t tid, sim::TraceStatus st) {
+    sim::TraceEvent e;
+    e.at = ++t;
+    e.category = c;
+    e.node = node;
+    e.peer = peer;
+    e.tid = tid;
+    e.status = st;
+    evs.push_back(e);
+  };
+  using C = sim::TraceCategory;
+  using S = sim::TraceStatus;
+  for (std::int32_t tid = 1; tid <= kPerNode; ++tid) {
+    for (int node = 0; node < kNodes; ++node) {
+      const int server = (node + 1) % kNodes;
+      push(C::kRequestIssued, node, server, tid, S::kNone);
+      push(C::kRequestDelivered, server, node, tid, S::kNone);
+      push(C::kHandlerInvoked, server, -1, -1, S::kArrival);
+      push(C::kAcceptCompleted, server, node, tid, S::kCompleted);
+      push(C::kHandlerEnded, server, -1, -1, S::kNone);
+      push(C::kRequestCompleted, node, server, tid, S::kCompleted);
+    }
+  }
+  for (auto _ : state) {
+    chaos::InvariantSet set = chaos::InvariantSet::standard();
+    for (const auto& e : evs) set.on_event(e);
+    set.finish(t + 1);
+    benchmark::DoNotOptimize(set.ok());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(evs.size()));
+}
+BENCHMARK(BM_InvariantSetStandard);
 
 // Partitioned wheels walked by the epoch-2 window protocol: one thread
 // executes every partition's window in ascending partition order.

@@ -145,6 +145,7 @@ void aggregate_scale(TrendReport& r) {
     t.timedout = row.num("timedout").value_or(0);
     t.ev_wall = row.num("events_per_wall_s").value_or(0);
     t.rss_kb = row.num("peak_rss_kb").value_or(0);
+    t.slab_bytes = row.num("slab_bytes").value_or(0);
     t.violations += row.num("violations").value_or(0);
   }
   for (auto& [key, t] : configs) r.scale.push_back(t);
@@ -236,23 +237,24 @@ std::string format_trend_report(const TrendReport& r) {
 
   if (!r.scale.empty()) {
     out << "\nScaling matrix (events/wall-s and peak RSS are "
-           "host-dependent)\n";
-    char buf[200];
+           "host-dependent; peak RSS is the bench process's high-water "
+           "mark so far, slab kB the row's own)\n";
+    char buf[220];
     std::snprintf(buf, sizeof buf,
-                  "  %-30s %5s %5s %13s %11s %9s %9s %13s %11s %5s\n",
+                  "  %-30s %5s %5s %13s %11s %9s %9s %13s %11s %9s %5s\n",
                   "workload", "nodes", "loss", "ops", "sched events",
                   "frames", "filtered", "events/wall-s", "peak RSS kB",
-                  "viol");
+                  "slab kB", "viol");
     out << buf;
     for (const auto& t : r.scale) {
       const std::string label = scale_label(
           t.workload, t.backoff, t.pool_size, t.segments, t.epoch);
       std::snprintf(buf, sizeof buf,
                     "  %-30s %5d %4.0f%% %6.0f/%-6.0f %11.0f %9.0f %9.0f "
-                    "%13.0f %11.0f %5.0f\n",
+                    "%13.0f %11.0f %9.0f %5.0f\n",
                     label.c_str(), t.nodes, t.loss * 100, t.ops,
                     t.ops_expected, t.scheduled, t.frames, t.filtered,
-                    t.ev_wall, t.rss_kb, t.violations);
+                    t.ev_wall, t.rss_kb, t.slab_bytes / 1024, t.violations);
       out << buf;
     }
 
@@ -428,9 +430,10 @@ std::string format_trend_diff(const TrendReport& before,
     }
     if (!merged.empty()) {
       out << "\nScaling matrix (before -> after)\n";
-      std::snprintf(buf, sizeof buf, "  %-18s %5s %5s %20s %20s %18s %16s\n",
+      std::snprintf(buf, sizeof buf,
+                    "  %-18s %5s %5s %20s %20s %18s %16s %16s\n",
                     "workload", "nodes", "loss", "ops", "sched events",
-                    "goodput ops/s", "events/wall-s");
+                    "goodput ops/s", "events/wall-s", "slab kB");
       out << buf;
       for (const auto& [key, ba] : merged) {
         const auto& [workload, nodes, loss, backoff, pool, segments, epoch] =
@@ -459,12 +462,18 @@ std::string format_trend_diff(const TrendReport& before,
             a.ev_wall > 0 && a.ev_wall * 3 < b.ev_wall) {
           flag = "  [WORSE]";
         }
+        // The slab footprint is deterministic, so any growth is a real
+        // change (a snapshot without the column reads 0 and is skipped).
+        if (b.slab_bytes > 0 && a.slab_bytes > b.slab_bytes) {
+          flag = "  [WORSE]";
+        }
         std::snprintf(buf, sizeof buf,
                       "  %-18s %5d %4.0f%% %8.0f->%-8.0f %9.0f->%-9.0f "
-                      "%7.0f->%-7.0f %7.0f->%-7.0f%s\n",
+                      "%7.0f->%-7.0f %7.0f->%-7.0f %7.0f->%-7.0f%s\n",
                       label.c_str(), nodes, loss * 100, b.ops, a.ops,
                       b.scheduled, a.scheduled, b.goodput, a.goodput,
-                      b.ev_wall, a.ev_wall, flag);
+                      b.ev_wall, a.ev_wall, b.slab_bytes / 1024,
+                      a.slab_bytes / 1024, flag);
         out << buf;
       }
     }

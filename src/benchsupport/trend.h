@@ -63,6 +63,10 @@ struct ScaleTrend {
   // collapse so machine noise never fails CI.
   double ev_wall = 0;
   double rss_kb = 0;
+  // Event-slab bytes across the row's partition wheels: its own memory
+  // footprint, deterministic (0 for rows recorded before the column).
+  // The diff gate flags any growth.
+  double slab_bytes = 0;
   double violations = 0;  // summed over the key's rows — should stay 0
 };
 
@@ -129,8 +133,8 @@ std::vector<std::string> trend_gate_failures(const TrendReport& r);
 
 /// Render a before/after comparison of two snapshots (e.g. the BENCH
 /// files from the base branch vs. this PR): chaos failure deltas, paper-
-/// stream ms/op drift, and scaling/goodput deltas per (workload, nodes,
-/// loss). Keys present in only one snapshot are flagged.
+/// stream ms/op drift, and scaling/goodput/slab-footprint deltas per
+/// (workload, nodes, loss). Keys present in only one snapshot are flagged.
 std::string format_trend_diff(const TrendReport& before,
                               const TrendReport& after);
 

@@ -1,7 +1,6 @@
 #include "chaos/invariants.h"
 
-#include <tuple>
-#include <utility>
+#include <string>
 
 namespace soda::chaos {
 
@@ -24,48 +23,48 @@ std::string tid_key_str(int node, std::int32_t tid) {
 
 // ------------------------------------------------- ExactlyOnceTermination
 
+bool ExactlyOnceTermination::open(const Request& r, int node,
+                                  std::int32_t tid) {
+  return r.state == State::kOpen && (tid < 0 || r.epoch == deaths_[node]);
+}
+
 void ExactlyOnceTermination::on_event(const sim::TraceEvent& e) {
   using sim::TraceCategory;
   if (is_death(e)) {
     // The dead incarnation's open requests are legitimately abandoned.
-    auto it = requests_.lower_bound({e.node, 0});
-    while (it != requests_.end() && it->first.first == e.node) {
-      if (it->second == State::kOpen) {
-        it = requests_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    ++deaths_[e.node];
     return;
   }
   if (e.category == TraceCategory::kRequestIssued) {
-    auto [it, inserted] = requests_.try_emplace({e.node, e.tid}, State::kOpen);
-    if (!inserted) {
+    Request& r = requests_.at(e.node, e.tid);
+    if (r.state == State::kTerminated || open(r, e.node, e.tid)) {
       fail(e.at, "tid reissued: " + tid_key_str(e.node, e.tid));
+      return;
     }
+    r = Request{State::kOpen, deaths_[e.node]};
     return;
   }
   if (e.category == TraceCategory::kRequestCompleted) {
-    auto it = requests_.find({e.node, e.tid});
-    if (it == requests_.end()) {
+    Request* r = requests_.find(e.node, e.tid);
+    if (r == nullptr ||
+        (r->state != State::kTerminated && !open(*r, e.node, e.tid))) {
       fail(e.at, "completion without issue: " + tid_key_str(e.node, e.tid));
       return;
     }
-    if (it->second == State::kTerminated) {
+    if (r->state == State::kTerminated) {
       fail(e.at, "terminated twice: " + tid_key_str(e.node, e.tid));
       return;
     }
-    it->second = State::kTerminated;
+    r->state = State::kTerminated;
   }
 }
 
 void ExactlyOnceTermination::finish(sim::Time end) {
-  for (const auto& [key, state] : requests_) {
-    if (state == State::kOpen) {
-      fail(end, "never terminated after quiescence: " +
-                    tid_key_str(key.first, key.second));
+  requests_.for_each([&](int node, std::int32_t tid, const Request& r) {
+    if (open(r, node, tid)) {
+      fail(end, "never terminated after quiescence: " + tid_key_str(node, tid));
     }
-  }
+  });
 }
 
 // --------------------------------------------------- AtMostOnceDelivery
@@ -76,10 +75,20 @@ void AtMostOnceDelivery::on_event(const sim::TraceEvent& e) {
     return;
   }
   if (e.category != sim::TraceCategory::kRequestDelivered) return;
-  const int server_epoch = deaths_[e.node];
-  const int requester_epoch = deaths_[e.peer];
-  auto& seen = delivered_[{e.node, e.peer, e.tid}];
-  if (!seen.insert({server_epoch, requester_epoch}).second) {
+  const Epochs now{deaths_[e.node], deaths_[e.peer]};
+  Delivery& d = delivered_.at(e.peer, e.tid);
+  bool duplicate = false;
+  if (!d.seen) {
+    d = Delivery{true, e.node, now};
+  } else if (d.server == e.node) {
+    duplicate = d.last == now;
+    d.last = now;
+  } else {
+    auto [it, first] = other_servers_.try_emplace({e.node, e.peer, e.tid}, now);
+    duplicate = !first && it->second == now;
+    it->second = now;
+  }
+  if (duplicate) {
     fail(e.at, "duplicate delivery at n" + std::to_string(e.node) +
                    " of n" + std::to_string(e.peer) +
                    " tid=" + std::to_string(e.tid));
@@ -100,7 +109,7 @@ void NoStaleAccept::on_event(const sim::TraceEvent& e) {
     return;
   }
   if (e.category == sim::TraceCategory::kRequestIssued) {
-    issued_in_[{e.node, e.tid}] = deaths_[e.node];
+    issued_in_.at(e.node, e.tid).epoch = deaths_[e.node];
     return;
   }
   if (e.category != sim::TraceCategory::kAcceptCompleted) return;
@@ -108,12 +117,13 @@ void NoStaleAccept::on_event(const sim::TraceEvent& e) {
                        e.status == TraceStatus::kPiggybacked ||
                        e.status == TraceStatus::kNone;
   if (!success) return;
-  auto it = issued_in_.find({e.peer, e.tid});
-  if (it == issued_in_.end()) return;  // issued before tracing started
+  const Issued* issued = issued_in_.find(e.peer, e.tid);
+  // Not issued since tracing started.
+  if (issued == nullptr || issued->epoch < 0) return;
   // Only a success after a NEWER incarnation of the requester has booted
   // is a protocol violation; completing while the requester is dead (or
   // gone for good) is the benign piggyback case.
-  if (alive_[e.peer] > it->second) {
+  if (alive_[e.peer] > issued->epoch) {
     fail(e.at, "n" + std::to_string(e.node) +
                    " accepted pre-reboot request " +
                    tid_key_str(e.peer, e.tid));
@@ -125,19 +135,19 @@ void NoStaleAccept::on_event(const sim::TraceEvent& e) {
 void HandlerNeverNests::on_event(const sim::TraceEvent& e) {
   using sim::TraceCategory;
   if (is_death(e)) {
-    busy_[e.node] = false;  // the kernel tears the handler down
+    busy_[e.node] = 0;  // the kernel tears the handler down
     return;
   }
   if (e.category == TraceCategory::kHandlerInvoked) {
-    bool& busy = busy_[e.node];
-    if (busy) {
+    std::uint8_t& busy = busy_[e.node];
+    if (busy != 0) {
       fail(e.at, "handler invoked while busy on n" + std::to_string(e.node));
     }
-    busy = true;
+    busy = 1;
     return;
   }
   if (e.category == TraceCategory::kHandlerEnded) {
-    busy_[e.node] = false;
+    busy_[e.node] = 0;
   }
 }
 

@@ -18,11 +18,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
+#include "chaos/tid_table.h"
 #include "sim/trace.h"
 
 namespace soda::chaos {
@@ -81,8 +82,17 @@ class ExactlyOnceTermination final : public Invariant {
   void finish(sim::Time end) override;
 
  private:
-  enum class State : std::uint8_t { kOpen, kTerminated };
-  std::map<std::pair<int, std::int32_t>, State> requests_;
+  enum class State : std::uint8_t { kNone, kOpen, kTerminated };
+  struct Request {
+    State state = State::kNone;
+    int epoch = 0;  // the issuer's incarnation when it was issued
+  };
+  /// Whether `r` of `node`'s tid `tid` is still open: a death abandons the
+  /// open requests (tid >= 0) of every earlier incarnation.
+  bool open(const Request& r, int node, std::int32_t tid);
+
+  TidTable<Request> requests_;  // (issuer, tid)
+  NodeTable<int> deaths_;       // node -> incarnation epoch
 };
 
 /// A REQUEST is handed to the server's client at most once per (server
@@ -100,10 +110,24 @@ class AtMostOnceDelivery final : public Invariant {
   }
 
  private:
-  std::map<int, int> deaths_;  // node -> incarnation epoch
-  // (server, requester, tid) -> epochs pairs already seen
-  std::map<std::tuple<int, int, std::int32_t>, std::set<std::pair<int, int>>>
-      delivered_;
+  /// Incarnation epochs of (server, requester) at a delivery. Epochs
+  /// only rise, so a pair seen before equals the last one seen: one pair
+  /// per (server, requester, tid) decides every duplicate.
+  struct Epochs {
+    int server = 0;
+    int requester = 0;
+    bool operator==(const Epochs&) const = default;
+  };
+  struct Delivery {
+    bool seen = false;
+    int server = 0;  // the first server the request was delivered to
+    Epochs last;
+  };
+
+  NodeTable<int> deaths_;          // node -> incarnation epoch
+  TidTable<Delivery> delivered_;   // (requester, tid), first server
+  // Deliveries of one request to further servers (anycast failover).
+  std::map<std::tuple<int, int, std::int32_t>, Epochs> other_servers_;
 };
 
 /// No ACCEPT of a pre-reboot request succeeds once the requester's *new*
@@ -124,9 +148,12 @@ class NoStaleAccept final : public Invariant {
   }
 
  private:
-  std::map<int, int> deaths_;  // node -> death count
-  std::map<int, int> alive_;   // node -> epoch of the booted incarnation
-  std::map<std::pair<int, std::int32_t>, int> issued_in_;  // (node,tid)->epoch
+  struct Issued {
+    int epoch = -1;  // the issuer's incarnation; -1 = never issued
+  };
+  NodeTable<int> deaths_;        // node -> death count
+  NodeTable<int> alive_;         // node -> epoch of the booted incarnation
+  TidTable<Issued> issued_in_;   // (issuer, tid)
 };
 
 /// The client handler never nests: between a handler invocation and its
@@ -143,7 +170,7 @@ class HandlerNeverNests final : public Invariant {
   }
 
  private:
-  std::map<int, bool> busy_;
+  NodeTable<std::uint8_t> busy_;  // 1 while a handler runs
 };
 
 /// A registry of invariants driven by one trace stream.

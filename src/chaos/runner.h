@@ -9,6 +9,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -121,17 +123,53 @@ Scenario shrink_failure(const Scenario& scenario, std::uint64_t seed,
 
 /// FNV-1a accumulation of one trace event into `h`; fold events in order
 /// starting from kTraceHashSeed to fingerprint a whole run. Inline: this
-/// runs once per trace event inside the observer and the serial
-/// byte-multiply chain is the irreducible cost — the call overhead need
-/// not be paid on top.
+/// runs once per trace event inside the observer, where the serial
+/// multiply chain is the cost — the call overhead need not be paid on top.
 inline constexpr std::uint64_t kTraceHashSeed = 1469598103934665603ull;
 
-inline std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ull;
+namespace fnv_detail {
+
+inline constexpr std::uint64_t kPrime = 1099511628211ull;
+
+/// kPrime^k for k = 0..8.
+inline constexpr auto kPrimePow = [] {
+  std::array<std::uint64_t, 9> p{};
+  p[0] = 1;
+  for (std::size_t k = 1; k < p.size(); ++k) p[k] = p[k - 1] * kPrime;
+  return p;
+}();
+
+/// Folding the eight bytes of an all-ones word is h * kPrime^8 + kOnes[h &
+/// 0xff]: each step h = (h ^ 0xff) * kPrime adds a term that depends only
+/// on the low byte of h, and the next low byte is a function of that low
+/// byte alone (the low byte of a product depends only on the low bytes of
+/// its factors).
+inline constexpr auto kOnes = [] {
+  std::array<std::uint64_t, 256> t{};
+  for (std::uint64_t x = 0; x < t.size(); ++x) {
+    std::uint64_t h = x;
+    for (int i = 0; i < 8; ++i) h = (h ^ 0xff) * kPrime;
+    t[x] = h - x * kPrimePow[8];
   }
-  return h;
+  return t;
+}();
+
+}  // namespace fnv_detail
+
+/// FNV-1a over the eight little-endian bytes of `v`, bit-identical to the
+/// byte-at-a-time loop (tests/test_trace_hash.cc keeps that reference).
+/// Trace fields are mostly small or the -1 "n/a" sentinel, so two
+/// shortcuts carry most of them: k trailing zero bytes leave h ^ 0 == h,
+/// i.e. fold to one multiply by kPrime^k, and -1 folds through kOnes.
+inline std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
+  using namespace fnv_detail;
+  if (v == ~std::uint64_t{0}) return h * kPrimePow[8] + kOnes[h & 0xff];
+  const int bytes = (std::bit_width(v) + 7) / 8;
+  for (int i = 0; i < bytes; ++i) {
+    h ^= (v >> (i * 8)) & 0xff;
+    h *= kPrime;
+  }
+  return h * kPrimePow[static_cast<std::size_t>(8 - bytes)];
 }
 
 inline std::uint64_t hash_event(std::uint64_t h, const sim::TraceEvent& e) {

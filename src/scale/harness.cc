@@ -366,6 +366,7 @@ HarnessResult run_harness(const HarnessOptions& opts) {
   r.peak_rss_kb = read_peak_rss_kb();
   r.events_scheduled = sim.events_scheduled();
   r.events_cancelled = sim.events_cancelled();
+  r.slab_bytes = sim.slab_bytes();
   for (int s = 0; s < segments; ++s) {
     r.frames_sent += topology.bus(s).frames_sent();
     r.frames_filtered += topology.bus(s).frames_filtered();

@@ -66,6 +66,10 @@ struct HarnessResult {
   double wall_ms = 0;              // host wall-clock for the run
   double events_per_wall_s = 0;    // engine throughput: executed / wall
   std::uint64_t peak_rss_kb = 0;   // VmHWM after the run (0 off-Linux)
+  /// Event-slab bytes across the partition wheels (Simulator::slab_bytes):
+  /// this run's own engine footprint, deterministic, where peak_rss_kb is
+  /// the whole process's high-water mark so far.
+  std::uint64_t slab_bytes = 0;
   std::uint64_t events_executed = 0;
   std::uint64_t events_scheduled = 0;  // timer-churn proxy (deterministic)
   std::uint64_t events_cancelled = 0;

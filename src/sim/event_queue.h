@@ -201,6 +201,11 @@ class EventQueue {
   /// Slab high-water mark in cells (for memory reporting).
   std::size_t slab_cells() const { return cells_.size(); }
 
+  /// Bytes of cell storage the slab holds: whole chunks, so a wheel that
+  /// ever held one event pays one chunk. Deterministic — a function of the
+  /// schedule/cancel/pop sequence alone.
+  std::size_t slab_bytes() const { return cells_.bytes(); }
+
   /// Earliest pending event time; only valid when !empty().
   Time next_time() {
     const bool ok = prepare();
@@ -476,9 +481,14 @@ class EventQueue {
   /// Slab: stable addresses, O(1) index access, intrusive free list.
   /// A chunked array rather than std::deque — libstdc++ deque nodes hold
   /// only four 128-byte cells, so cells_[idx] there is a two-level lookup
-  /// through a sprawling block map; 1024-cell chunks make it one indirection
-  /// with real locality. Chunks never move or shrink, so Cell references
-  /// stay valid across growth (alloc during a running callback is safe).
+  /// through a sprawling block map; fixed chunks make it one indirection.
+  /// Chunks are 64 cells (8 KiB), sized to one partition wheel: every node
+  /// of a single-bus topology owns a wheel whose standing population is a
+  /// few dozen timers, and the first schedule value-initialises a whole
+  /// chunk, so 1024-cell chunks cost 128 KiB per node before it held one
+  /// event (doc/PERFORMANCE.md §1). Chunks never move or shrink, so Cell
+  /// references stay valid across growth (alloc during a running callback
+  /// is safe).
   class Slab {
    public:
     Cell& operator[](std::uint32_t i) {
@@ -488,6 +498,9 @@ class EventQueue {
       return chunks_[i >> kChunkBits][i & kChunkMask];
     }
     std::uint32_t size() const { return size_; }
+    std::size_t bytes() const {
+      return chunks_.size() * kChunkCells * sizeof(Cell);
+    }
     /// Append a default-constructed cell; returns its index.
     std::uint32_t push() {
       if ((size_ >> kChunkBits) == chunks_.size()) {
@@ -497,7 +510,7 @@ class EventQueue {
     }
 
    private:
-    static constexpr int kChunkBits = 10;
+    static constexpr int kChunkBits = 6;
     static constexpr std::uint32_t kChunkCells = 1u << kChunkBits;
     static constexpr std::uint32_t kChunkMask = kChunkCells - 1;
     std::vector<std::unique_ptr<Cell[]>> chunks_;

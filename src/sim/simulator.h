@@ -276,7 +276,7 @@ class Simulator {
 
   /// Window barrier. Applies the staged cross-partition operations in
   /// ascending source-partition order (then staging order — exactly the
-  /// order serial execution produces them in), stable-merges the window's
+  /// order serial execution produces them in), merges the window's
   /// per-partition trace buffers by (time, partition) into the real trace
   /// sink, refreshes the window heap, and advances the clock to the
   /// window end (one partition: the clock stays at its last event).
@@ -329,6 +329,14 @@ class Simulator {
     return n;
   }
 
+  /// Event-slab bytes held across every partition wheel: the engine's
+  /// deterministic memory footprint (EventQueue::slab_bytes).
+  std::size_t slab_bytes() const {
+    std::size_t n = 0;
+    for (const Part& p : parts_) n += p.queue.slab_bytes();
+    return n;
+  }
+
  private:
   static constexpr Time kNever = std::numeric_limits<Time>::max();
   static constexpr std::size_t kUnlimited =
@@ -367,6 +375,12 @@ class Simulator {
     if (a.at != b.at) return a.at > b.at;
     return a.part > b.part;
   }
+
+  /// commit_traces' read position in one partition's window buffer,
+  /// keyed like the partition heap by (time of the event at pos, part).
+  struct Cursor : HeapEntry {
+    std::size_t pos;
+  };
 
   /// Replace the partition set. One partition keeps the root stream
   /// Rng(seed); several split it into Rng(seed, p).
@@ -489,37 +503,44 @@ class Simulator {
     return ids_.pack(target, wheel_id);
   }
 
-  /// Stable-merge the window's per-partition trace buffers by (time,
-  /// partition) — each buffer is time-ordered already, and concatenating
-  /// in ascending partition order before a stable sort on time yields the
-  /// canonical epoch-2 commit order — then replay through the real sink
-  /// (observer, retention, counters).
+  /// Merge the window's per-partition trace buffers by (time, partition)
+  /// and replay them through the real sink (observer, retention,
+  /// counters) — the canonical epoch-2 commit order. Each buffer is
+  /// time-ordered already (a partition records at its own clock, which
+  /// only rises inside a window), so a k-way merge on a heap of buffer
+  /// cursors keyed (time, partition) yields exactly the stable sort of
+  /// the partition-ordered concatenation, without copying an event or
+  /// allocating once the cursor heap has grown to the widest window.
   void commit_traces() {
-    std::vector<TraceEvent>* only = nullptr;
-    std::size_t total = 0;
+    cursors_.clear();
     for (int part : active_) {
-      Part& p = parts_[static_cast<std::size_t>(part)];
-      if (p.buffer.empty()) continue;
-      total += p.buffer.size();
-      only = &p.buffer;
+      const std::vector<TraceEvent>& b =
+          parts_[static_cast<std::size_t>(part)].buffer;
+      if (!b.empty()) cursors_.push_back(Cursor{{b.front().at, part}, 0});
     }
-    if (total == 0) return;
-    if (only != nullptr && only->size() == total) {
-      for (const TraceEvent& e : *only) trace_.commit(e);
-      only->clear();
+    if (cursors_.size() == 1) {
+      std::vector<TraceEvent>& b =
+          parts_[static_cast<std::size_t>(cursors_.front().part)].buffer;
+      for (const TraceEvent& e : b) trace_.commit(e);
+      b.clear();
       return;
     }
-    merged_.clear();
-    merged_.reserve(total);
-    for (int part : active_) {
-      Part& p = parts_[static_cast<std::size_t>(part)];
-      merged_.insert(merged_.end(), p.buffer.begin(), p.buffer.end());
-      p.buffer.clear();
+    std::make_heap(cursors_.begin(), cursors_.end(), heap_after);
+    while (!cursors_.empty()) {
+      std::pop_heap(cursors_.begin(), cursors_.end(), heap_after);
+      Cursor& c = cursors_.back();
+      std::vector<TraceEvent>& b =
+          parts_[static_cast<std::size_t>(c.part)].buffer;
+      trace_.commit(b[c.pos]);
+      if (++c.pos < b.size()) {
+        assert(b[c.pos].at >= c.at);
+        c.at = b[c.pos].at;
+        std::push_heap(cursors_.begin(), cursors_.end(), heap_after);
+      } else {
+        b.clear();
+        cursors_.pop_back();
+      }
     }
-    std::stable_sort(
-        merged_.begin(), merged_.end(),
-        [](const TraceEvent& a, const TraceEvent& b) { return a.at < b.at; });
-    for (const TraceEvent& e : merged_) trace_.commit(e);
   }
 
   std::uint64_t seed_;
@@ -535,7 +556,7 @@ class Simulator {
   bool in_window_ = false;
   int current_ = 0;     // ambient partition for new schedules
   int executing_ = -1;  // partition inside execute_partition_window, or -1
-  std::vector<TraceEvent> merged_;  // commit_traces scratch
+  std::vector<Cursor> cursors_;  // commit_traces merge heap
 };
 
 /// Pin the ambient partition for the current scope: topology constructors

@@ -1,8 +1,9 @@
 // soda_trend's snapshot gates, fed synthetic BENCH_scale.jsonl rows: the
 // anycast pool gate pairs single-segment rows only, the 64-node
 // contention gate catches a starved client and an op without exactly one
-// terminal state, any invariant violation fails, and rows of the retired
-// before/after axis are skipped rather than merged.
+// terminal state, any invariant violation fails, rows of the retired
+// before/after axis are skipped rather than merged, and --diff flags a
+// row whose event-slab footprint grew.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -25,6 +26,7 @@ struct Row {
   int ops = 657, expected = 756, timedout = 99;
   int ops_min = 8, ops_max = 12;
   int violations = 0;
+  long slab_bytes = 0;  // 0 = no slab_bytes column
   std::string extra;  // appended verbatim, e.g. ,"optimized":false
 
   std::string json() const {
@@ -39,7 +41,10 @@ struct Row {
            ",\"timedout\":" + std::to_string(timedout) +
            ",\"ops_min\":" + std::to_string(ops_min) +
            ",\"ops_max\":" + std::to_string(ops_max) +
-           ",\"violations\":" + std::to_string(violations) + extra + "}";
+           ",\"violations\":" + std::to_string(violations) +
+           (slab_bytes > 0 ? ",\"slab_bytes\":" + std::to_string(slab_bytes)
+                           : std::string()) +
+           extra + "}";
   }
 };
 
@@ -139,6 +144,30 @@ TEST(TrendReport, SkipsRowsOfTheRetiredBaseStack) {
   EXPECT_EQ(r.scale[0].goodput, 4380);
   EXPECT_EQ(r.scale[0].violations, 0);
   EXPECT_TRUE(trend_gate_failures(r).empty());
+}
+
+TEST(TrendDiff, SlabFootprintGrowthIsWorse) {
+  Row before;
+  before.slab_bytes = 8 * 8192;
+  Row same = before;
+  Row grown = before;
+  grown.slab_bytes = 9 * 8192;
+  Row shrunk = before;
+  shrunk.slab_bytes = 8192;
+  Row unrecorded = before;
+  unrecorded.slab_bytes = 0;
+  const TrendReport b = report_of({before});
+  EXPECT_EQ(b.scale.at(0).slab_bytes, 8 * 8192);
+  const auto worse = [&b](const Row& after) {
+    return format_trend_diff(b, report_of({after})).find("[WORSE]") !=
+           std::string::npos;
+  };
+  EXPECT_FALSE(worse(same));
+  EXPECT_TRUE(worse(grown));
+  EXPECT_FALSE(worse(shrunk));
+  // An old snapshot without the column never flags the new one.
+  EXPECT_FALSE(format_trend_diff(report_of({unrecorded}), report_of({grown}))
+                   .find("[WORSE]") != std::string::npos);
 }
 
 }  // namespace

@@ -74,6 +74,9 @@ class ConsoleClient : public SodalClient {
   }
 };
 
+/// A command line missing an argument acts on nothing.
+void usage(const char* form) { std::printf("usage: %s\n", form); }
+
 Pattern parse_pattern(const std::string& s) {
   return (std::stoull(s, nullptr, 16) | kWellKnownBit) & kPatternMask;
 }
@@ -132,15 +135,23 @@ int main() {
         }
         std::printf("]\n");
       } else if (cmd == "advertise") {
-        int mid;
+        int mid = 0;
         std::string pat;
-        in >> mid >> pat;
+        if (!(in >> mid >> pat)) {
+          usage("advertise <mid> <hexpat>");
+          continue;
+        }
         const bool ok = net.node(mid).kernel().advertise(parse_pattern(pat));
         std::printf("advertise -> %s\n", ok ? "ok" : "refused");
       } else if (cmd == "signal" || cmd == "put" || cmd == "get") {
-        int from, to, arg;
+        int from = 0, to = 0, arg = 0;
         std::string pat;
-        in >> from >> to >> pat >> arg;
+        if (!(in >> from >> to >> pat >> arg)) {
+          usage(cmd == "signal" ? "signal <from> <to> <hexpat> <arg>"
+                : cmd == "put"  ? "put <from> <to> <hexpat> <arg> <text>"
+                                : "get <from> <to> <hexpat> <arg> <nbytes>");
+          continue;
+        }
         const ServerSignature server{to, parse_pattern(pat)};
         Kernel::RequestParams rp = Kernel::RequestParams::signal(server, arg);
         if (cmd == "put") {
@@ -150,7 +161,10 @@ int main() {
           rp = Kernel::RequestParams::put(server, to_bytes(text), arg);
         } else if (cmd == "get") {
           unsigned n = 0;
-          in >> n;
+          if (!(in >> n)) {
+            usage("get <from> <to> <hexpat> <arg> <nbytes>");
+            continue;
+          }
           get_buffers.emplace_back();
           rp = Kernel::RequestParams::get(server, n, &get_buffers.back(),
                                           arg);
@@ -163,16 +177,22 @@ int main() {
           std::printf("%s refused (MAXREQUESTS?)\n", cmd.c_str());
         }
       } else if (cmd == "discover") {
-        int from;
+        int from = 0;
         std::string pat;
-        in >> from >> pat;
+        if (!(in >> from >> pat)) {
+          usage("discover <from> <hexpat>");
+          continue;
+        }
         get_buffers.emplace_back();
         net.node(from).kernel().request(Kernel::RequestParams::discover(
             parse_pattern(pat), 64, &get_buffers.back()));
         std::printf("discover broadcast issued\n");
       } else if (cmd == "crash") {
-        int mid;
-        in >> mid;
+        int mid = 0;
+        if (!(in >> mid)) {
+          usage("crash <mid>");
+          continue;
+        }
         net.node(mid).crash();
         std::printf("node %d crashed\n", mid);
       } else if (cmd == "run") {

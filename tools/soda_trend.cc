@@ -17,8 +17,9 @@
 // anycast pool sweep lost its headline (8-server pool goodput below 4x
 // the 1-server pool), or a fleet run (BENCH_fleet.jsonl) recorded
 // violations / wedged workers / a real-vs-sim twin mismatch. --diff exits
-// 1 when any [WORSE] line is printed; goodput regressions are caught
-// there, against the committed baseline.
+// 1 when any [WORSE] line is printed; goodput regressions and growth of a
+// row's event-slab footprint are caught there, against the committed
+// baseline.
 #include <cstdio>
 #include <cstring>
 #include <string>
