@@ -96,8 +96,8 @@ int main() {
   {
     Network::Options o;
     o.seed = 9;
-    o.bus.loss_probability = 0.5;
     Network net(o);
+    net.bus().set_faults(net::UniformFaults{.loss = 0.5});
     net.sim().trace().enable(sim::TraceCategory::kRetransmit);
     net.sim().trace().enable(sim::TraceCategory::kRequestCompleted);
     net.spawn<Echo>(NodeConfig{});

@@ -205,8 +205,8 @@ class StreamRequester : public sodal::SodalClient {
 StreamResult run_stream(const StreamOptions& options) {
   Network::Options netopts;
   netopts.seed = options.seed;
-  netopts.bus.loss_probability = options.loss;
   Network net(netopts);
+  net.bus().set_faults(net::UniformFaults{.loss = options.loss});
 
   NodeConfig cfg;
   cfg.pipelined = options.pipelined;

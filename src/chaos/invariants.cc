@@ -23,9 +23,8 @@ std::string tid_key_str(int node, std::int32_t tid) {
 
 // ------------------------------------------------- ExactlyOnceTermination
 
-bool ExactlyOnceTermination::open(const Request& r, int node,
-                                  std::int32_t tid) {
-  return r.state == State::kOpen && (tid < 0 || r.epoch == deaths_[node]);
+bool ExactlyOnceTermination::open(const Request& r, int node) {
+  return r.state == State::kOpen && r.epoch == deaths_[node];
 }
 
 void ExactlyOnceTermination::on_event(const sim::TraceEvent& e) {
@@ -37,7 +36,7 @@ void ExactlyOnceTermination::on_event(const sim::TraceEvent& e) {
   }
   if (e.category == TraceCategory::kRequestIssued) {
     Request& r = requests_.at(e.node, e.tid);
-    if (r.state == State::kTerminated || open(r, e.node, e.tid)) {
+    if (r.state == State::kTerminated || open(r, e.node)) {
       fail(e.at, "tid reissued: " + tid_key_str(e.node, e.tid));
       return;
     }
@@ -47,7 +46,7 @@ void ExactlyOnceTermination::on_event(const sim::TraceEvent& e) {
   if (e.category == TraceCategory::kRequestCompleted) {
     Request* r = requests_.find(e.node, e.tid);
     if (r == nullptr ||
-        (r->state != State::kTerminated && !open(*r, e.node, e.tid))) {
+        (r->state != State::kTerminated && !open(*r, e.node))) {
       fail(e.at, "completion without issue: " + tid_key_str(e.node, e.tid));
       return;
     }
@@ -61,7 +60,7 @@ void ExactlyOnceTermination::on_event(const sim::TraceEvent& e) {
 
 void ExactlyOnceTermination::finish(sim::Time end) {
   requests_.for_each([&](int node, std::int32_t tid, const Request& r) {
-    if (open(r, node, tid)) {
+    if (open(r, node)) {
       fail(end, "never terminated after quiescence: " + tid_key_str(node, tid));
     }
   });

@@ -87,9 +87,9 @@ class ExactlyOnceTermination final : public Invariant {
     State state = State::kNone;
     int epoch = 0;  // the issuer's incarnation when it was issued
   };
-  /// Whether `r` of `node`'s tid `tid` is still open: a death abandons the
-  /// open requests (tid >= 0) of every earlier incarnation.
-  bool open(const Request& r, int node, std::int32_t tid);
+  /// Whether `node`'s request `r` is still open: a death abandons every
+  /// open request of every earlier incarnation.
+  bool open(const Request& r, int node);
 
   TidTable<Request> requests_;  // (issuer, tid)
   NodeTable<int> deaths_;       // node -> incarnation epoch

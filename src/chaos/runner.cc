@@ -26,108 +26,57 @@ struct Window {
   sim::Duration delay = 0;
   std::uint64_t group = 0;
 
+  bool active(sim::Time now) const { return now >= at && now < until; }
   bool matches_link(sim::Time now, Mid src, Mid dst) const {
-    return now >= at && now < until && (node < 0 || node == src) &&
+    return active(now) && (node < 0 || node == src) &&
            (peer < 0 || peer == dst);
   }
 };
 
-Window resolve(const Scenario& s, const Fault& f) {
-  Window w;
-  w.at = f.at;
-  w.until = s.window_end(f);
-  w.node = f.node;
-  w.peer = f.peer;
-  w.probability = f.probability;
-  w.delay = f.delay;
-  w.group = f.group;
-  return w;
-}
+/// One segment's link-fault windows, by kind, as a bus fault hook. Every
+/// window honours its node/peer restriction and draws only while it
+/// matches the delivery, in a fixed order: partitions (no draw), loss
+/// (stopping at the first drop), corruption (stopping at the first hit),
+/// delay, duplication (stopping at the first hit), then the duplicate's
+/// lag. The lag is always 0 — no window jitters — but its draw is kept,
+/// as the random medium keeps it.
+struct LinkFaults {
+  std::vector<Window> partitions, losses, corrupts, delays, dups;
 
-/// Translate the scenario's link faults into deterministic bus filters on
-/// ONE bus. Loss windows and partitions share the loss filter; corruption,
-/// duplication and delay each get their own, so every fault kind honours
-/// its node/peer restriction. A fault with `segment >= 0` is installed
-/// only on that segment's bus (per-segment targeting, satellite of
-/// doc/INTERNET.md) — the filtering happens here at install time, so the
-/// per-frame filter bodies (and their RNG draw order) are identical to
-/// the single-bus original.
-void install_link_faults(sim::Simulator& sim, net::Bus& bus, int bus_segment,
-                         const Scenario& s) {
-  std::vector<Window> losses, partitions, dups, delays, corrupts;
-  for (const Fault& f : s.faults) {
-    const bool here = f.segment < 0 || f.segment == bus_segment;
-    if (!here) continue;
-    switch (f.kind) {
-      case FaultKind::kLoss: losses.push_back(resolve(s, f)); break;
-      case FaultKind::kPartition: partitions.push_back(resolve(s, f)); break;
-      case FaultKind::kDuplicate: dups.push_back(resolve(s, f)); break;
-      case FaultKind::kDelay: delays.push_back(resolve(s, f)); break;
-      case FaultKind::kCorrupt: corrupts.push_back(resolve(s, f)); break;
-      default: break;
+  static bool hit(const std::vector<Window>& windows, const net::Frame& f,
+                  Mid dst, sim::Time now, sim::Rng& rng) {
+    for (const Window& w : windows) {
+      if (w.matches_link(now, f.src, dst) && rng.chance(w.probability)) {
+        return true;
+      }
     }
+    return false;
   }
 
-  if (!losses.empty() || !partitions.empty()) {
-    bus.set_loss_filter([&sim, losses, partitions](const net::Frame& f, Mid dst) {
-      const sim::Time now = sim.now();
-      for (const Window& w : partitions) {
-        if (now >= w.at && now < w.until &&
-            (((w.group >> static_cast<unsigned>(f.src)) ^
-              (w.group >> static_cast<unsigned>(dst))) &
-             1)) {
-          return true;
-        }
+  net::Fate operator()(const net::Frame& f, Mid dst, sim::Time now,
+                       sim::Rng& rng) const {
+    net::Fate fate;
+    for (const Window& w : partitions) {
+      if (w.active(now) && (((w.group >> static_cast<unsigned>(f.src)) ^
+                             (w.group >> static_cast<unsigned>(dst))) &
+                            1)) {
+        fate.drop = true;
+        return fate;
       }
-      for (const Window& w : losses) {
-        if (w.matches_link(now, f.src, dst) &&
-            sim.rng().chance(w.probability)) {
-          return true;
-        }
+    }
+    fate.drop = hit(losses, f, dst, now, rng);
+    if (fate.drop) return fate;
+    fate.damage = hit(corrupts, f, dst, now, rng);
+    for (const Window& w : delays) {
+      if (w.matches_link(now, f.src, dst) && w.delay > 0) {
+        fate.delay += static_cast<sim::Duration>(rng.next_range(0, w.delay));
       }
-      return false;
-    });
+    }
+    fate.duplicate = hit(dups, f, dst, now, rng);
+    if (fate.duplicate) fate.dup_lag = rng.next_range(0, 0);
+    return fate;
   }
-
-  if (!dups.empty()) {
-    bus.set_dup_filter([&sim, dups](const net::Frame& f, Mid dst) {
-      const sim::Time now = sim.now();
-      for (const Window& w : dups) {
-        if (w.matches_link(now, f.src, dst) &&
-            sim.rng().chance(w.probability)) {
-          return true;
-        }
-      }
-      return false;
-    });
-  }
-
-  if (!delays.empty()) {
-    bus.set_delay_filter([&sim, delays](const net::Frame& f, Mid dst) {
-      sim::Duration extra = 0;
-      const sim::Time now = sim.now();
-      for (const Window& w : delays) {
-        if (w.matches_link(now, f.src, dst) && w.delay > 0) {
-          extra += static_cast<sim::Duration>(sim.rng().next_range(0, w.delay));
-        }
-      }
-      return extra;
-    });
-  }
-
-  if (!corrupts.empty()) {
-    bus.set_corrupt_filter([&sim, corrupts](const net::Frame& f, Mid dst) {
-      const sim::Time now = sim.now();
-      for (const Window& w : corrupts) {
-        if (w.matches_link(now, f.src, dst) &&
-            sim.rng().chance(w.probability)) {
-          return true;
-        }
-      }
-      return false;
-    });
-  }
-}
+};
 
 /// Schedule the crash / reboot events. A reboot reinstalls the node's
 /// workload client; the kernel keeps its monotone TID floor and its
@@ -217,6 +166,29 @@ RunResult run_guarded(const Scenario& scenario, std::uint64_t seed,
 }
 
 }  // namespace
+
+net::FaultHook link_faults(const Scenario& s, int segment) {
+  LinkFaults faults;
+  for (const Fault& f : s.faults) {
+    if (f.segment >= 0 && f.segment != segment) continue;
+    const Window w{f.at,   s.window_end(f), f.node, f.peer, f.probability,
+                   f.delay, f.group};
+    switch (f.kind) {
+      case FaultKind::kLoss: faults.losses.push_back(w); break;
+      case FaultKind::kPartition: faults.partitions.push_back(w); break;
+      case FaultKind::kCorrupt: faults.corrupts.push_back(w); break;
+      case FaultKind::kDelay: faults.delays.push_back(w); break;
+      case FaultKind::kDuplicate: faults.dups.push_back(w); break;
+      default: break;
+    }
+  }
+  if (faults.partitions.empty() && faults.losses.empty() &&
+      faults.corrupts.empty() && faults.delays.empty() &&
+      faults.dups.empty()) {
+    return nullptr;
+  }
+  return faults;
+}
 
 RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
                        const InvariantFactory& extra,
@@ -329,7 +301,7 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
   }
 
   for (int s = 0; s < segments; ++s) {
-    install_link_faults(sim, topology.bus(s), s, scenario);
+    topology.bus(s).set_faults(link_faults(scenario, s));
   }
   schedule_crashes(topology, scenario);
   install_inet_faults(topology, scenario);

@@ -17,6 +17,7 @@
 
 #include "chaos/invariants.h"
 #include "chaos/scenario.h"
+#include "net/bus.h"
 #include "sim/trace.h"
 
 namespace soda::chaos {
@@ -83,6 +84,13 @@ struct RunResult {
 
   bool ok() const { return violations.empty(); }
 };
+
+/// Compile the scenario's link faults — loss, partition, corruption,
+/// delay and duplicate windows — that apply to segment `segment` into one
+/// bus fault hook (Bus::set_faults). A fault with `segment < 0` applies
+/// to every segment. Returns an empty hook, a perfect medium, when no
+/// window applies.
+net::FaultHook link_faults(const Scenario& s, int segment);
 
 /// Execute one deterministic run.
 RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,

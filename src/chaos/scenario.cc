@@ -426,7 +426,7 @@ std::optional<Scenario> builtin_scenario(std::string_view name) {
     // so requests arrive but every acknowledgement (or vice versa)
     // vanishes — the hardest case for the retransmission budget and the
     // per-direction Delta-t aging rule. Plus per-link corruption, which
-    // exercises the corrupt filter's node/peer restriction.
+    // exercises the corrupt windows' node/peer restriction.
     Scenario s;
     s.name = "asymmetric_partition";
     s.nodes = 5;

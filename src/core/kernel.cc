@@ -374,12 +374,10 @@ void Kernel::arm_accept_data_deadline(ServerKey key) {
                             .with_tid(static_cast<std::int32_t>(key.second))
                             .with_status(sim::TraceStatus::kCrashed));
     auto promise = std::move(oa.promise);
-    auto kernel_done = std::move(oa.kernel_done);
     accepts_.erase(it);
     delivered_.erase(key);
     note_completed(key);
     if (promise) promise->set(result);
-    if (kernel_done) kernel_done(result);
   });
 }
 
@@ -394,7 +392,6 @@ void Kernel::finish_accept(ServerKey key, OngoingAccept& oa) {
                           .with_status(sim::TraceStatus::kCompleted));
   AcceptResult result = oa.result;
   auto promise = std::move(oa.promise);
-  auto kernel_done = std::move(oa.kernel_done);
   if (auto dit = delivered_.find(key); dit != delivered_.end()) {
     note_service_sample(sim_.now() - dit->second.delivered_at);
     delivered_.erase(dit);
@@ -402,7 +399,6 @@ void Kernel::finish_accept(ServerKey key, OngoingAccept& oa) {
   note_completed(key);
   accepts_.erase(key);
   if (promise) promise->set(result);
-  if (kernel_done) kernel_done(result);
 }
 
 void Kernel::handle_late_data(const net::Frame& f) {
@@ -1068,12 +1064,10 @@ void Kernel::on_failed(Mid peer, const net::Frame& sent,
                                                ? sim::TraceStatus::kCrashed
                                                : sim::TraceStatus::kCancelled));
       auto promise = std::move(oa.promise);
-      auto kernel_done = std::move(oa.kernel_done);
       accepts_.erase(it);
       delivered_.erase(key);
       note_completed(key);
       if (promise) promise->set(result);
-      if (kernel_done) kernel_done(result);
     }
   }
   if (sent.cancel && !sent.cancel->is_reply) {

@@ -102,10 +102,6 @@ class Kernel {
       return {ServerSignature{net::kBroadcastMid, pattern}, 0, {}, get_size,
               into};
     }
-    RequestParams& with_arg(std::int32_t a) {
-      arg = a;
-      return *this;
-    }
   };
   std::optional<Tid> request(RequestParams params);
 
@@ -171,7 +167,6 @@ class Kernel {
   void crash();
 
   bool handler_open() const { return handler_open_; }
-  bool handler_busy() const { return handler_busy_; }
   bool client_dead() const;
 
   /// Number of uncompleted requests (so SODAL can obey MAXREQUESTS).
@@ -253,8 +248,8 @@ class Kernel {
 
   struct OngoingAccept {
     std::optional<sim::Promise<AcceptResult>> promise;  // client ACCEPTs
-    // Kernel-internal ACCEPTs (boot protocol) use callbacks instead:
-    std::function<void(const AcceptResult&)> kernel_done;
+    // Kernel-internal ACCEPTs (the boot protocol's core-image PUT) take
+    // their data through this callback instead of `take_into`:
     std::function<void(const Bytes&)> kernel_on_data;
     RequesterSignature requester;
     Bytes* take_into = nullptr;

@@ -6,11 +6,13 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "chaos/runner.h"
 #include "chaos/scenario.h"
 #include "chaos/workload.h"
 #include "core/node.h"
@@ -34,47 +36,6 @@ constexpr sim::TraceCategory kStreamedCategories[] = {
     sim::TraceCategory::kRequestCompleted,
     sim::TraceCategory::kAcceptCompleted,
 };
-
-/// Compile the scenario's receive-side link faults (loss windows and
-/// partitions that involve this node) into one UdpBus filter. Crash and
-/// delay faults are the driver's job (real signals); corruption and
-/// duplication are not modeled on the real medium (doc/FLEET.md).
-posix::UdpBus::RecvFilter make_recv_filter(const chaos::Scenario& s, int mid,
-                                           sim::Simulator& sim) {
-  struct Window {
-    chaos::FaultKind kind;
-    sim::Time at, until;
-    int node, peer;
-    double probability;
-    std::uint64_t group;
-  };
-  std::vector<Window> windows;
-  for (const auto& f : s.faults) {
-    if (f.kind != chaos::FaultKind::kLoss &&
-        f.kind != chaos::FaultKind::kPartition) {
-      continue;
-    }
-    windows.push_back(Window{f.kind, f.at, s.window_end(f), f.node, f.peer,
-                             f.probability, f.group});
-  }
-  if (windows.empty()) return nullptr;
-  return [windows = std::move(windows), mid, &sim](const net::Frame& fr) {
-    const sim::Time now = sim.now();
-    for (const auto& w : windows) {
-      if (now < w.at || now >= w.until) continue;
-      if (w.kind == chaos::FaultKind::kLoss) {
-        if (w.node >= 0 && w.node != static_cast<int>(fr.src)) continue;
-        if (w.peer >= 0 && w.peer != mid) continue;
-        if (sim.rng().chance(w.probability)) return true;
-      } else {  // partition: drop frames crossing the group boundary
-        const bool src_in = (w.group >> fr.src) & 1;
-        const bool dst_in = (w.group >> mid) & 1;
-        if (src_in != dst_in) return true;
-      }
-    }
-    return false;
-  };
-}
 
 }  // namespace
 
@@ -187,8 +148,15 @@ int run_worker(const WorkerOptions& opts) {
     outbuf += '\n';
   });
 
-  bus.set_drop_probability(start->drop);
-  bus.set_recv_filter(make_recv_filter(*scenario, opts.mid, sim));
+  // Receive-side link faults: the scenario's windows as the simulator
+  // compiles them, plus the driver's uniform drop as one more loss window.
+  // The real medium honours only the drops (doc/FLEET.md); crashes and
+  // delays are the driver's job (real signals).
+  chaos::Scenario links = *scenario;
+  if (start->drop > 0) {
+    links.lose(start->drop, 0, std::numeric_limits<sim::Time>::max());
+  }
+  bus.set_faults(chaos::link_faults(links, 0));
 
   UniqueIdSource uids;
   Node node(sim, bus, static_cast<net::Mid>(opts.mid), config, uids);

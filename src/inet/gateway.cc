@@ -135,7 +135,6 @@ void Gateway::on_frame(std::size_t port_idx, const net::FrameRef& f) {
   if (frame.relay_src == mid_) {
     // Our own relay echoing back (we re-broadcast onto a segment we also
     // listen on). Not traffic, and must not teach routes.
-    ++self_echoes_;
     return;
   }
   learn(port_idx, frame);
@@ -206,8 +205,7 @@ void Gateway::relay(std::size_t from_idx, std::size_t target_idx,
   if (forward_filter_ &&
       forward_filter_(f, ports_[from_idx].segment_id,
                       ports_[target_idx].segment_id)) {
-    ++filtered_drops_;  // an injected inter-segment partition ate it
-    return;
+    return;  // an injected inter-segment partition ate it
   }
   enqueue(target_idx, f);
 }

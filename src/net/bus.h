@@ -2,20 +2,21 @@
 // 1 Mbit/s shared medium with hardware CRC (a damaged frame is silently
 // discarded by the receiver's interface) and physical broadcast.
 //
-// Fault injection: uniform frame-loss, CRC-corruption, and duplication
-// probabilities exercise the retransmission and Delta-t machinery the same
-// way collisions, line noise, and store-and-forward relays did on real
-// media. For deterministic tests (and the soda::chaos scenario engine),
-// set_loss_filter() / set_dup_filter() / set_delay_filter() /
-// set_corrupt_filter() replace the random draws with predicates.
+// Fault injection: a bus with no fault hook is a perfect medium. One
+// FaultHook, installed with set_faults(), decides the fate of every
+// (frame, receiver) delivery — drop it, CRC-damage it, delay it, deliver
+// it twice — the way collisions, line noise and store-and-forward relays
+// did on real media. UniformFaults is the random 1984 model; the
+// soda::chaos scenario engine compiles its fault windows into a hook
+// (chaos::link_faults).
 //
-// RNG affinity (hash epoch 2): every fault draw for a delivery is taken
-// from the *receiver's* partition stream, inside a bare arrival event
-// scheduled at +wire on the receiver's wheel. The sender's stream is never
-// consumed by another node's luck, so each partition's draws are
-// independent of the others' (doc/PERFORMANCE.md §5). Consequence: loss/
-// CRC-drop trace records and fault-filter predicates observe the *arrival*
-// time of the frame, not the send time.
+// RNG affinity (hash epoch 2): the hook runs inside a bare arrival event
+// scheduled at +wire on the *receiver's* wheel and draws from the
+// receiver's partition stream. The sender's stream is never consumed by
+// another node's luck, so each partition's draws are independent of the
+// others' (doc/PERFORMANCE.md §5). Consequence: loss/CRC-drop trace
+// records and the hook observe the *arrival* time of the frame, not the
+// send time.
 #pragma once
 
 #include <algorithm>
@@ -38,20 +39,6 @@ struct BusConfig {
   sim::Duration us_per_byte = 8;
   /// Fixed propagation + interface latency per frame.
   sim::Duration propagation = 30;  // 30 us
-  /// Probability an individual frame is lost outright (collision model).
-  double loss_probability = 0.0;
-  /// Probability a frame arrives damaged; the receiving interface discards
-  /// it after the CRC check, so it still consumed wire time.
-  double corruption_probability = 0.0;
-  /// Extra random per-frame latency, uniform in [0, delivery_jitter]. A
-  /// broadcast bus delivers in order, but store-and-forward media (or
-  /// UDP) may not — jitter lets control frames overtake sequenced ones
-  /// and exercises the reordering tolerance of the protocol.
-  sim::Duration delivery_jitter = 0;
-  /// Probability a frame is delivered twice to a receiver (a relay or NIC
-  /// retry artefact). The extra copy arrives one jitter draw later and
-  /// exercises the alternating-bit duplicate rejection.
-  double duplicate_probability = 0.0;
 
   /// A "modern NIC" medium to pair with TimingModel::fast(): wire time is
   /// dominated by fixed per-frame latency, not serialization, so N-node
@@ -69,22 +56,57 @@ struct BusConfig {
 /// deferred CPU work item) without copying the frame.
 using FrameRefSink = std::function<void(const FrameRef&)>;
 
-/// Deterministic loss predicate: return true to drop this (frame, receiver)
-/// delivery. When installed it replaces the random loss draw entirely.
-using LossFilter = std::function<bool(const Frame&, Mid dst)>;
+/// What happens to one (frame, receiver) delivery.
+struct Fate {
+  /// Lost outright: the receiver never sees it.
+  bool drop = false;
+  /// Arrives CRC-damaged: it consumed wire time, and the receiving
+  /// interface discards it. Applies to the duplicate too.
+  bool damage = false;
+  /// Extra latency on top of the wire time.
+  sim::Duration delay = 0;
+  /// A second copy arrives `dup_lag` after the first (a relay or NIC
+  /// retry artefact that exercises the alternating-bit duplicate check).
+  bool duplicate = false;
+  sim::Duration dup_lag = 0;
 
-/// Deterministic duplication predicate: return true to deliver a second
-/// copy of this (frame, receiver) pair. Replaces the random duplicate draw.
-using DupFilter = std::function<bool(const Frame&, Mid dst)>;
+  bool operator==(const Fate&) const = default;
+};
 
-/// Deterministic delay shaper: extra latency (>= 0) added to this (frame,
-/// receiver) delivery on top of wire + jitter time.
-using DelayFilter = std::function<sim::Duration(const Frame&, Mid dst)>;
+/// Per-delivery fault hook. Called once per (frame, receiver) delivery at
+/// its arrival time `now`, with the receiver partition's stream `rng`.
+using FaultHook = std::function<Fate(const Frame&, Mid dst, sim::Time now,
+                                     sim::Rng& rng)>;
 
-/// Deterministic corruption predicate: return true to CRC-damage this
-/// (frame, receiver) delivery. Replaces the random corruption draw, so a
-/// chaos `corrupt` window can honour its node/peer restriction.
-using CorruptFilter = std::function<bool(const Frame&, Mid dst)>;
+/// The 1984 random medium: independent per-delivery loss, corruption,
+/// jitter and duplication. Draws in that order: loss (stopping at a
+/// drop), corruption, jitter, duplication, then the duplicate's lag — a
+/// degenerate probability draws nothing, a zero jitter draws no jitter,
+/// and a duplicate always draws its lag, even when jitter is 0.
+struct UniformFaults {
+  /// Probability a frame is lost outright (collision model).
+  double loss = 0.0;
+  /// Probability a frame arrives damaged and is discarded after the CRC.
+  double corruption = 0.0;
+  /// Extra latency, uniform in [0, jitter]. A broadcast bus delivers in
+  /// order, but store-and-forward media (or UDP) may not: jitter lets
+  /// control frames overtake sequenced ones.
+  sim::Duration jitter = 0;
+  /// Probability a frame is delivered twice; the copy trails the original
+  /// by an independent uniform [0, jitter] lag.
+  double duplicate = 0.0;
+
+  Fate operator()(const Frame&, Mid, sim::Time, sim::Rng& rng) const {
+    Fate fate;
+    fate.drop = rng.chance(loss);
+    if (fate.drop) return fate;
+    fate.damage = rng.chance(corruption);
+    if (jitter > 0) fate.delay = rng.next_range(0, jitter);
+    fate.duplicate = rng.chance(duplicate);
+    if (fate.duplicate) fate.dup_lag = rng.next_range(0, jitter);
+    return fate;
+  }
+};
 
 /// Per-station broadcast interest predicate (models the pattern-address
 /// filtering a NIC does in hardware, §5.3): return false and the bus never
@@ -177,32 +199,11 @@ class Bus {
   }
 
   const BusConfig& config() const { return config_; }
-  void set_loss_probability(double p) { config_.loss_probability = p; }
-  void set_corruption_probability(double p) {
-    config_.corruption_probability = p;
-  }
-  void set_duplicate_probability(double p) {
-    config_.duplicate_probability = p;
-  }
 
-  /// Install (or clear, with nullptr) a deterministic loss predicate.
-  void set_loss_filter(LossFilter filter) { loss_filter_ = std::move(filter); }
-
-  /// Install (or clear) a deterministic duplication predicate.
-  void set_dup_filter(DupFilter filter) { dup_filter_ = std::move(filter); }
-
-  /// Install (or clear) a deterministic per-delivery delay shaper. Keep
-  /// the added delay under the Delta-t MPL or the protocol's correctness
-  /// assumptions (§5.2.2) are themselves under test.
-  void set_delay_filter(DelayFilter filter) {
-    delay_filter_ = std::move(filter);
-  }
-
-  /// Install (or clear) a deterministic corruption predicate. Replaces
-  /// the random corruption draw entirely (mirrors set_loss_filter).
-  void set_corrupt_filter(CorruptFilter filter) {
-    corrupt_filter_ = std::move(filter);
-  }
+  /// Install (or clear, with nullptr) the fault hook that decides every
+  /// delivery's fate. Keep added delays under the Delta-t MPL or the
+  /// protocol's correctness assumptions (§5.2.2) are themselves under test.
+  void set_faults(FaultHook hook) { faults_ = std::move(hook); }
 
   /// Install (or clear) a broadcast interest filter for one station. Only
   /// meaningful for an attached station; survives until detach().
@@ -235,21 +236,10 @@ class Bus {
   FramePool& pool() { return pool_; }
 
  protected:
-  /// For subclasses delivering frames that arrived from elsewhere.
-  void deliver_to_station(const FrameRef& f) {
-    if (f->dst == kBroadcastMid) {
-      for (const auto& [mid, station] : stations_) {
-        if (mid == f->src) continue;
-        if (station.interest && !station.interest(*f)) {
-          ++frames_filtered_;
-          continue;
-        }
-        station.sink(f);
-      }
-      return;
-    }
-    auto it = stations_.find(f->dst);
-    if (it != stations_.end()) it->second.sink(f);
+  /// The installed hook's fate for delivering `frame` to `dst` now; a
+  /// perfect delivery, drawing nothing, when no hook is installed.
+  Fate fate_of(const Frame& frame, Mid dst) {
+    return faults_ ? faults_(frame, dst, sim_.now(), sim_.rng()) : Fate{};
   }
 
   /// Deliver a frame to one specific station's sink, leaving the frame's
@@ -260,7 +250,6 @@ class Bus {
     if (it != stations_.end()) it->second.sink(f);
   }
 
-  bool station_attached(Mid mid) const { return stations_.count(mid) > 0; }
   sim::Simulator& simulator() { return sim_; }
   void count_sent(std::size_t bytes) {
     ++frames_sent_;
@@ -316,62 +305,34 @@ class Bus {
     sim_.after(wire, [this, mid, f = fref]() { on_arrival(mid, f); });
   }
 
-  /// Runs at +wire in the receiver's partition: take the loss/corrupt/
-  /// jitter/shaping/duplicate draws from the receiver's stream, then
-  /// deliver inline or after the extra fault latency.
+  /// Runs at +wire in the receiver's partition: ask the fault hook for
+  /// this delivery's fate (its draws come from the receiver's stream),
+  /// then deliver inline or after the fate's extra latency.
   void on_arrival(Mid mid, const FrameRef& f) {
-    const Frame& frame = *f;
-    const bool dropped = loss_filter_
-                             ? loss_filter_(frame, mid)
-                             : sim_.rng().chance(config_.loss_probability);
-    if (dropped) {
+    const Fate fate = fate_of(*f, mid);
+    if (fate.drop) {
       sim_.trace().record(
           sim_.now(), sim::TraceCategory::kPacketDropped, mid,
-          stamp(trace_payload(frame).with_status(sim::TraceStatus::kLost)));
+          stamp(trace_payload(*f).with_status(sim::TraceStatus::kLost)));
       ++frames_lost_;
       if (auto* m = metrics_for(mid)) m->add(stats::Counter::kFramesDropped);
       return;
     }
-    const bool damaged =
-        corrupt_filter_ ? corrupt_filter_(frame, mid)
-                        : sim_.rng().chance(config_.corruption_probability);
-    sim::Duration jitter = 0;
-    if (config_.delivery_jitter > 0) {
-      jitter = sim_.rng().next_range(0, config_.delivery_jitter);
-    }
-    sim::Duration shaped = 0;
-    if (delay_filter_) {
-      shaped = std::max<sim::Duration>(0, delay_filter_(frame, mid));
-    }
-    const bool duplicated =
-        dup_filter_ ? dup_filter_(frame, mid)
-                    : sim_.rng().chance(config_.duplicate_probability);
-    sim::Duration dup_lag = 0;
-    if (duplicated) {
-      // The extra copy trails the original by an independent jitter draw
-      // (drawn even when jitter is 0 so dup faults don't perturb other
-      // streams' determinism when toggled together with jitter).
-      dup_lag = sim_.rng().next_range(
-          0, std::max<sim::Duration>(config_.delivery_jitter, 0));
+    deliver_after(fate.delay, mid, f, false, fate.damage);
+    if (fate.duplicate) {
       ++frames_duplicated_;
+      deliver_after(fate.delay + fate.dup_lag, mid, f, true, fate.damage);
     }
-    const sim::Duration extra = jitter + shaped;
-    if (extra == 0) {
-      finish_delivery(mid, f, false, damaged);
+  }
+
+  void deliver_after(sim::Duration delay, Mid mid, const FrameRef& f,
+                     bool duplicate, bool damaged) {
+    if (delay == 0) {
+      finish_delivery(mid, f, duplicate, damaged);
     } else {
-      sim_.after(extra, [this, mid, damaged, f]() {
-        finish_delivery(mid, f, false, damaged);
+      sim_.after(delay, [this, mid, duplicate, damaged, f]() {
+        finish_delivery(mid, f, duplicate, damaged);
       });
-    }
-    if (duplicated) {
-      const sim::Duration lag = extra + dup_lag;
-      if (lag == 0) {
-        finish_delivery(mid, f, true, damaged);
-      } else {
-        sim_.after(lag, [this, mid, damaged, f]() {
-          finish_delivery(mid, f, true, damaged);
-        });
-      }
     }
   }
 
@@ -419,10 +380,7 @@ class Bus {
   std::unordered_map<Mid, Station> stations_;
   std::vector<Tap> taps_;
   int segment_ = -1;
-  LossFilter loss_filter_;
-  DupFilter dup_filter_;
-  DelayFilter delay_filter_;
-  CorruptFilter corrupt_filter_;
+  FaultHook faults_;
   std::size_t frames_sent_ = 0;
   std::size_t bytes_sent_ = 0;
   std::size_t frames_lost_ = 0;

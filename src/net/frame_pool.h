@@ -5,11 +5,11 @@
 // and payload copies per send. FramePool hands out FrameRef handles to a
 // single immutable Frame instead — every receiver's delivery event shares
 // the same storage, and the slab recycles nodes so steady-state traffic
-// stops allocating. Corruption (the chaos CorruptFilter / random CRC
-// damage) is per-delivery metadata carried alongside the ref, never a
-// mutation of the shared frame, so no copy-on-write is needed on today's
-// filters; a future mutating filter would copy the frame into a fresh
-// pooled node (CoW) rather than touch the shared one.
+// stops allocating. Corruption (a fault hook's `damage` fate) is
+// per-delivery metadata carried alongside the ref, never a mutation of
+// the shared frame, so no copy-on-write is needed today; a future
+// mutating fault would copy the frame into a fresh pooled node (CoW)
+// rather than touch the shared one.
 //
 // Lifetime: delivery events legitimately outlive the Bus (core::Network
 // tears its buses down while the simulator still holds scheduled events

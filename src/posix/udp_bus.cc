@@ -12,6 +12,16 @@
 
 namespace soda::posix {
 
+namespace {
+
+/// SO_RCVBUF requested for every station. At high speedups one pump() gap
+/// can see hundreds of datagrams, and an explicit size makes burst loss
+/// show up in send_drops()/retransmits instead of silently varying per
+/// host.
+constexpr int kRcvbufBytes = 1 << 20;
+
+}  // namespace
+
 UdpBus::UdpBus(sim::Simulator& sim) : net::Bus(sim, net::BusConfig{}) {}
 
 UdpBus::~UdpBus() {
@@ -23,19 +33,8 @@ UdpBus::~UdpBus() {
 bool UdpBus::open_station(net::Mid mid) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd < 0) return false;
-  // Size the receive buffer explicitly: the default varies per host, and
-  // at high speedups one pump() gap can see a burst of hundreds of
-  // datagrams. An explicit request makes overflow loss a measured,
-  // reproducible property instead of a silent per-machine variable.
-  if (rcvbuf_bytes_ > 0) {
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf_bytes_,
-                       sizeof(rcvbuf_bytes_));
-    int granted = 0;
-    socklen_t glen = sizeof(granted);
-    if (::getsockopt(fd, SOL_SOCKET, SO_RCVBUF, &granted, &glen) == 0) {
-      rcvbuf_effective_ = granted;
-    }
-  }
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kRcvbufBytes,
+                     sizeof(kRcvbufBytes));
   // Bind to an ephemeral loopback port; record what we got.
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -134,11 +133,6 @@ int UdpBus::pump() {
         break;  // EWOULDBLOCK or error: done with this socket
       }
       ++datagrams_in_;
-      if (drop_probability_ > 0.0 &&
-          simulator().rng().chance(drop_probability_)) {
-        ++dropped_;
-        continue;
-      }
       auto frame = net::decode_frame(buf, static_cast<std::size_t>(n));
       if (!frame) {
         ++decode_failures_;  // the "CRC discard" path
@@ -148,8 +142,8 @@ int UdpBus::pump() {
       // datagrams were fanned out one per station already, so each is
       // consumed by exactly the socket it landed on).
       if (frame->dst != mid && frame->dst != net::kBroadcastMid) continue;
-      if (recv_filter_ && recv_filter_(*frame)) {
-        ++dropped_;  // scenario-scheduled loss window
+      if (fate_of(*frame, mid).drop) {
+        ++dropped_;
         continue;
       }
       simulator().trace().record(simulator().now(),

@@ -20,9 +20,12 @@
 // UDP gives the same failure model the paper assumes of the Megalink:
 // datagrams may be dropped or reordered, never corrupted past the
 // checksum; the alternating-bit machinery recovers exactly as in the
-// simulator. Syscall-level hardening: EINTR is retried, transient send
-// failures (ENOBUFS/EAGAIN) count as drops rather than aborting the run,
-// and SO_RCVBUF is sized explicitly so burst loss is measurable.
+// simulator. Injected faults go through the inherited Bus::set_faults
+// hook, asked once per decoded arrival; only its `drop` is honoured (the
+// real medium neither damages, delays nor duplicates on request).
+// Syscall-level hardening: EINTR is retried, transient send failures
+// (ENOBUFS/EAGAIN) count as drops rather than aborting the run, and
+// SO_RCVBUF is sized explicitly so burst loss is measurable.
 #pragma once
 
 #include <chrono>
@@ -77,24 +80,7 @@ class UdpBus final : public net::Bus {
   /// as lost on the wire and retransmission recovers it.
   std::size_t send_drops() const { return send_drops_; }
 
-  /// Receive-buffer size requested for every subsequently opened station
-  /// (SO_RCVBUF). Default 1 MiB: at high speedups one pump() gap can see
-  /// hundreds of datagrams, and an explicit size makes burst loss show up
-  /// in send_drops()/retransmits instead of silently varying per host.
-  void set_rcvbuf_bytes(int bytes) { rcvbuf_bytes_ = bytes; }
-  /// SO_RCVBUF the OS actually granted for the most recent station.
-  int rcvbuf_effective() const { return rcvbuf_effective_; }
-
-  /// Drop this fraction of incoming datagrams (failure injection on top
-  /// of whatever the real network does).
-  void set_drop_probability(double p) { drop_probability_ = p; }
-
-  /// Scenario-driven receive filter (fleet workers install one compiled
-  /// from the chaos fault schedule): return true to drop the decoded
-  /// frame before delivery. Runs after the uniform drop_probability draw.
-  using RecvFilter = std::function<bool(const net::Frame&)>;
-  void set_recv_filter(RecvFilter f) { recv_filter_ = std::move(f); }
-
+  /// Decoded arrivals the fault hook dropped.
   std::size_t dropped() const { return dropped_; }
 
  private:
@@ -111,10 +97,6 @@ class UdpBus final : public net::Bus {
   std::size_t datagrams_out_ = 0;
   std::size_t decode_failures_ = 0;
   std::size_t send_drops_ = 0;
-  int rcvbuf_bytes_ = 1 << 20;
-  int rcvbuf_effective_ = 0;
-  double drop_probability_ = 0.0;
-  RecvFilter recv_filter_;
   std::size_t dropped_ = 0;
 };
 

@@ -170,7 +170,6 @@ void Transport::transmit_outstanding(Mid peer, Record& r, bool is_retransmit) {
   assert(r.outstanding);
   Frame f = *r.outstanding;  // copy: the stored frame may be stripped below
   if (is_retransmit) {
-    ++retransmits_;
     metrics_->add(stats::Counter::kRetransmits);
     metrics_->observe(stats::Latency::kRetransmitBackoff, r.pending_backoff);
     sim_.trace().record(sim_.now(), TraceCategory::kRetransmit, mid_,
@@ -395,7 +394,6 @@ void Transport::process_ack(Mid peer, Record& r, const Frame& f) {
 void Transport::process_nack(Mid peer, Record& r, const Frame& f) {
   if (!r.outstanding) return;
   if (f.nack->seq != *r.outstanding->seq) return;
-  ++busy_nacks_;  // legacy counter: every NACK aimed at our frame
   metrics_->add(f.nack->reason == net::NackReason::kBusy
                     ? stats::Counter::kBusyNacks
                     : stats::Counter::kErrorNacks);
@@ -425,7 +423,6 @@ void Transport::process_nack(Mid peer, Record& r, const Frame& f) {
       r.outstanding.reset();
       ++r.send_bit;
       clear_outstanding_and_advance(peer, r);
-      ++busy_give_ups_;
       metrics_->add(stats::Counter::kBusyBudgetExhausted);
       sim_.trace().record(sim_.now(), TraceCategory::kOther, mid_,
                           sim::TracePayload{}

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -331,11 +332,10 @@ HarnessResult run_harness(const HarnessOptions& opts) {
   if (segments > 1) topology.add_gateway();
 
   if (o.loss > 0) {
+    chaos::Scenario uniform;
+    uniform.lose(o.loss, 0, std::numeric_limits<sim::Time>::max());
     for (int s = 0; s < segments; ++s) {
-      topology.bus(s).set_loss_filter(
-          [&sim, p = o.loss](const net::Frame&, Mid) {
-            return sim.rng().chance(p);
-          });
+      topology.bus(s).set_faults(chaos::link_faults(uniform, s));
     }
   }
 

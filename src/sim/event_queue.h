@@ -198,9 +198,6 @@ class EventQueue {
   /// heap allocation). Zero across the protocol stack; benches assert it.
   std::uint64_t sbo_spill_total() const { return sbo_spills_; }
 
-  /// Slab high-water mark in cells (for memory reporting).
-  std::size_t slab_cells() const { return cells_.size(); }
-
   /// Bytes of cell storage the slab holds: whole chunks, so a wheel that
   /// ever held one event pays one chunk. Deterministic — a function of the
   /// schedule/cancel/pop sequence alone.

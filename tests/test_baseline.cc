@@ -55,9 +55,8 @@ TEST(StarMod, AsyncCallDelivers) {
 
 TEST(StarMod, SurvivesLoss) {
   sim::Simulator s(5);
-  net::BusConfig cfg;
-  cfg.loss_probability = 0.25;
-  net::Bus bus(s, cfg);
+  net::Bus bus(s, net::BusConfig{});
+  bus.set_faults(net::UniformFaults{.loss = 0.25});
   StarModNode a(s, bus, 1), b(s, bus, 2);
   int got = 0;
   b.bind_async_port(1, [&](const Bytes&) { ++got; });

@@ -145,8 +145,8 @@ class LossyBoot : public ::testing::TestWithParam<double> {};
 TEST_P(LossyBoot, BootProtocolSurvivesLoss) {
   Network::Options o;
   o.seed = 77;
-  o.bus.loss_probability = GetParam();
   Network net(o);
+  net.bus().set_faults(net::UniformFaults{.loss = GetParam()});
   Node& target = net.add_node();
   static int booted;
   booted = 0;

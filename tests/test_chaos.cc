@@ -2,11 +2,14 @@
 // scenario holds every standard invariant across a seed sweep, runs are
 // bit-deterministic per (scenario, seed), a deliberately broken checker is
 // caught (the engine actually looks at the trace), the shrinker strips
-// faults irrelevant to a violation, and the JSONL scenario format
-// round-trips.
+// faults irrelevant to a violation, the JSONL scenario format
+// round-trips, and every scenarios/*.json file is its builtin.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -225,6 +228,27 @@ TEST(ChaosScenario, JsonlRoundTripsEveryBuiltin) {
     ASSERT_TRUE(parsed.has_value()) << name;
     EXPECT_EQ(*parsed, *s) << name;
   }
+}
+
+// CI sweeps the scenarios/*.json files while tier-1 and perfbench run the
+// builtins: each file must parse to exactly the builtin of its name.
+TEST(ChaosScenario, EveryScenarioFileIsItsBuiltin) {
+  int files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SODA_SCENARIO_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    ++files;
+    const std::string name = entry.path().stem().string();
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    const auto parsed = scenario_from_jsonl(text.str());
+    ASSERT_TRUE(parsed.has_value()) << name;
+    const auto builtin = builtin_scenario(name);
+    ASSERT_TRUE(builtin.has_value()) << name;
+    EXPECT_EQ(*parsed, *builtin) << name;
+  }
+  EXPECT_GT(files, 0);
 }
 
 TEST(ChaosScenario, JsonlRejectsGarbage) {

@@ -78,34 +78,8 @@ TEST(TraceTest, FiltersByCategory) {
            sim::TracePayload{}.with_detail(7));
   t.record(2, sim::TraceCategory::kPacketSent, 0);  // disabled
   ASSERT_EQ(t.events().size(), 1u);
+  EXPECT_EQ(t.events()[0].category, sim::TraceCategory::kRetransmit);
   EXPECT_EQ(t.events()[0].detail_i64(), 7);
-  EXPECT_EQ(t.count(sim::TraceCategory::kRetransmit), 1u);
-  EXPECT_EQ(t.count(sim::TraceCategory::kPacketSent), 0u);
-}
-
-TEST(TraceTest, CountFiltersByNode) {
-  sim::Trace t;
-  t.enable_all();
-  t.record(1, sim::TraceCategory::kProbe, 3);
-  t.record(2, sim::TraceCategory::kProbe, 4);
-  EXPECT_EQ(t.count(sim::TraceCategory::kProbe), 2u);
-  EXPECT_EQ(t.count(sim::TraceCategory::kProbe, 3), 1u);
-}
-
-TEST(TraceTest, CountSurvivesClearAndStaysInSyncWithEvents) {
-  // count() is O(1) (incrementally maintained), so make sure the counts
-  // track the event log through record/clear cycles.
-  sim::Trace t;
-  t.enable_all();
-  for (int i = 0; i < 5; ++i) t.record(i, sim::TraceCategory::kProbe, i % 2);
-  EXPECT_EQ(t.count(sim::TraceCategory::kProbe), 5u);
-  EXPECT_EQ(t.count(sim::TraceCategory::kProbe, 0), 3u);
-  EXPECT_EQ(t.count(sim::TraceCategory::kProbe, 1), 2u);
-  t.clear();
-  EXPECT_EQ(t.count(sim::TraceCategory::kProbe), 0u);
-  EXPECT_EQ(t.count(sim::TraceCategory::kProbe, 0), 0u);
-  t.record(9, sim::TraceCategory::kProbe, 0);
-  EXPECT_EQ(t.count(sim::TraceCategory::kProbe), 1u);
 }
 
 TEST(TimingModelTest, SignalBudgetMatchesPaperTable) {

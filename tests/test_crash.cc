@@ -160,8 +160,8 @@ class CrashLossSweep : public ::testing::TestWithParam<double> {};
 TEST_P(CrashLossSweep, CrashDetectionSurvivesLoss) {
   Network::Options o;
   o.seed = 31;
-  o.bus.loss_probability = GetParam();
   Network net(o);
+  net.bus().set_faults(net::UniformFaults{.loss = GetParam()});
   auto& srv = net.spawn<Holding>(NodeConfig{});
   auto& w = net.spawn<Watcher>(NodeConfig{});
   net.run_for(2 * sim::kSecond);

@@ -220,16 +220,21 @@ TEST(ExactlyOnceTermination, DescendingAndNegativeTidsAreTrackedExactly) {
                    "quiescence: n1 tid=-4"}));
 }
 
-TEST(ExactlyOnceTermination, DeathForgivesOnlyNonNegativeTids) {
-  // A kernel numbers requests from 0 up, so a death abandons the node's
-  // open tids >= 0; a negative tid outlives the death.
+TEST(ExactlyOnceTermination, DeathForgivesEveryTidOfTheDeadIncarnation) {
+  // A death abandons every open request of the dead incarnation, negative
+  // tids included; the next incarnation's open requests are still owed.
   Stream s;
-  s.issue(1, 6, -3).issue(2, 6, 0).issue(3, 6, 9);
-  s.die(4, 6);
+  s.issue(1, 6, -3).issue(2, 6, 0).issue(3, 6, 9).issue(4, 6, INT_MIN);
+  s.die(5, 6);
+  s.complete(6, 6, -3);  // abandoned: its completion is now unknown
+  s.issue(7, 6, -3).issue(8, 6, -1);
+  s.complete(9, 6, -3);
   s.finish(10);
   EXPECT_EQ(s.lines(),
-            (Lines{"exactly-once-termination@10: never terminated after "
-                   "quiescence: n6 tid=-3"}));
+            (Lines{"exactly-once-termination@6: completion without issue: "
+                   "n6 tid=-3",
+                   "exactly-once-termination@10: never terminated after "
+                   "quiescence: n6 tid=-1"}));
 }
 
 TEST(ExactlyOnceTermination, ExtremeNodesAndTids) {

@@ -75,8 +75,8 @@ TEST_P(MessagingMatrix, RoundTripIntact) {
   const auto p = GetParam();
   Network::Options o;
   o.seed = 17;
-  o.bus.loss_probability = p.loss;
   Network net(o);
+  net.bus().set_faults(net::UniformFaults{.loss = p.loss});
   NodeConfig cfg;
   cfg.pipelined = p.pipelined;
   auto& echo = net.spawn<Echo>(cfg);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "net/bus.h"
 #include "net/frame_pool.h"
@@ -87,9 +88,8 @@ TEST(Bus, BroadcastReachesAllButSender) {
 
 TEST(Bus, LossDropsFrames) {
   sim::Simulator s(7);
-  BusConfig cfg;
-  cfg.loss_probability = 1.0;
-  Bus bus(s, cfg);
+  Bus bus(s, BusConfig{});
+  bus.set_faults(UniformFaults{.loss = 1.0});
   int got = 0;
   bus.attach_ref(2, [&](const FrameRef&) { ++got; });
   for (int i = 0; i < 10; ++i) bus.send(small_frame(1, 2));
@@ -100,9 +100,8 @@ TEST(Bus, LossDropsFrames) {
 
 TEST(Bus, CorruptionDiscardsAfterCrc) {
   sim::Simulator s(7);
-  BusConfig cfg;
-  cfg.corruption_probability = 1.0;
-  Bus bus(s, cfg);
+  Bus bus(s, BusConfig{});
+  bus.set_faults(UniformFaults{.corruption = 1.0});
   int got = 0;
   bus.attach_ref(2, [&](const FrameRef&) { ++got; });
   bus.send(small_frame(1, 2));
@@ -115,9 +114,8 @@ TEST(Bus, CorruptionDiscardsAfterCrc) {
 
 TEST(Bus, PartialLossStatistically) {
   sim::Simulator s(11);
-  BusConfig cfg;
-  cfg.loss_probability = 0.5;
-  Bus bus(s, cfg);
+  Bus bus(s, BusConfig{});
+  bus.set_faults(UniformFaults{.loss = 0.5});
   int got = 0;
   bus.attach_ref(2, [&](const FrameRef&) { ++got; });
   for (int i = 0; i < 400; ++i) bus.send(small_frame(1, 2));
@@ -151,30 +149,43 @@ TEST(Bus, StatsAccumulateAndReset) {
   EXPECT_EQ(bus.frames_sent(), 0u);
 }
 
+/// A hook that decides every delivery's fate without drawing.
+FaultHook always(Fate fate) {
+  return [fate](const Frame&, Mid, sim::Time, sim::Rng&) { return fate; };
+}
+
 TEST(Bus, DupFilterDeliversSecondCopy) {
   sim::Simulator s;
-  Bus bus(s, BusConfig{});
-  int deliveries = 0;
-  bus.attach_ref(2, [&](const FrameRef&) { ++deliveries; });
-  bus.set_dup_filter([](const Frame&, Mid dst) { return dst == 2; });
-  bus.send(small_frame(1, 2));
+  BusConfig cfg;
+  Bus bus(s, cfg);
+  std::vector<sim::Time> deliveries;
+  bus.attach_ref(2, [&](const FrameRef&) { deliveries.push_back(s.now()); });
+  bus.set_faults(always(Fate{.duplicate = true, .dup_lag = 700}));
+  Frame f = small_frame(1, 2);
+  const auto wire = static_cast<sim::Duration>(f.wire_size()) *
+                        cfg.us_per_byte +
+                    cfg.propagation;
+  bus.send(f);
   s.run();
-  EXPECT_EQ(deliveries, 2);
+  EXPECT_EQ(deliveries, (std::vector<sim::Time>{wire, wire + 700}));
   EXPECT_EQ(bus.frames_duplicated(), 1u);
 }
 
 TEST(Bus, DupFilterDecliningMeansSingleDelivery) {
+  // A hook that duplicates only station 3's copy of a broadcast.
   sim::Simulator s;
-  BusConfig cfg;
-  cfg.duplicate_probability = 1.0;  // filter overrides the random draw
-  Bus bus(s, cfg);
-  int deliveries = 0;
-  bus.attach_ref(2, [&](const FrameRef&) { ++deliveries; });
-  bus.set_dup_filter([](const Frame&, Mid) { return false; });
-  bus.send(small_frame(1, 2));
+  Bus bus(s, BusConfig{});
+  int at2 = 0, at3 = 0;
+  bus.attach_ref(2, [&](const FrameRef&) { ++at2; });
+  bus.attach_ref(3, [&](const FrameRef&) { ++at3; });
+  bus.set_faults([](const Frame&, Mid dst, sim::Time, sim::Rng&) {
+    return Fate{.duplicate = dst == 3};
+  });
+  bus.send(small_frame(1, kBroadcastMid));
   s.run();
-  EXPECT_EQ(deliveries, 1);
-  EXPECT_EQ(bus.frames_duplicated(), 0u);
+  EXPECT_EQ(at2, 1);
+  EXPECT_EQ(at3, 2);
+  EXPECT_EQ(bus.frames_duplicated(), 1u);
 }
 
 TEST(Bus, DelayFilterAddsShapedLatency) {
@@ -183,8 +194,7 @@ TEST(Bus, DelayFilterAddsShapedLatency) {
   Bus bus(s, cfg);
   sim::Time delivered_at = -1;
   bus.attach_ref(2, [&](const FrameRef&) { delivered_at = s.now(); });
-  bus.set_delay_filter(
-      [](const Frame&, Mid) { return sim::Duration{1500}; });
+  bus.set_faults(always(Fate{.delay = 1500}));
   Frame f = small_frame(1, 2);
   const auto wire = static_cast<sim::Duration>(f.wire_size()) *
                         cfg.us_per_byte +
@@ -192,6 +202,35 @@ TEST(Bus, DelayFilterAddsShapedLatency) {
   bus.send(f);
   s.run();
   EXPECT_EQ(delivered_at, wire + 1500);
+}
+
+// The random medium draws in a fixed order — loss, corruption, jitter,
+// duplication, the duplicate's lag — and a degenerate knob draws nothing,
+// except that a duplicate always draws its lag.
+TEST(Bus, UniformFaultsDrawInTheFixedOrder) {
+  const Frame f = small_frame(1, 2);
+  sim::Rng rng(3), ref(3);
+  EXPECT_EQ(UniformFaults{}(f, 2, 0, rng), Fate{});
+  EXPECT_EQ(rng.next_u64(), ref.next_u64());  // nothing drawn
+
+  const UniformFaults all{
+      .loss = 0.5, .corruption = 0.5, .jitter = 9, .duplicate = 0.5};
+  for (int i = 0; i < 200; ++i) {
+    Fate want;
+    want.drop = ref.chance(0.5);
+    if (!want.drop) {
+      want.damage = ref.chance(0.5);
+      want.delay = ref.next_range(0, 9);
+      want.duplicate = ref.chance(0.5);
+      if (want.duplicate) want.dup_lag = ref.next_range(0, 9);
+    }
+    ASSERT_EQ(all(f, 2, 0, rng), want) << i;
+  }
+
+  EXPECT_EQ(UniformFaults{.duplicate = 1.0}(f, 2, 0, rng),
+            Fate{.duplicate = true});
+  EXPECT_EQ(ref.next_range(0, 0), 0);  // the zero-jitter lag still drew
+  EXPECT_EQ(rng.next_u64(), ref.next_u64());
 }
 
 // Delivery events own FrameRefs and may outlive the Bus that pooled them
@@ -240,7 +279,9 @@ TEST(FramePool, SteadyTrafficRecyclesNodes) {
   bus.attach_ref(2, [&](const FrameRef&) { ++delivered; });
   bus.attach_ref(3, [&](const FrameRef&) { ++delivered; });
   int sends = 0;
-  bus.set_loss_filter([&sends](const Frame&, Mid) { return ++sends % 3 == 0; });
+  bus.set_faults([&sends](const Frame&, Mid, sim::Time, sim::Rng&) {
+    return Fate{.drop = ++sends % 3 == 0};
+  });
   constexpr int kRounds = 500, kBurst = 4;
   for (int round = 0; round < kRounds; ++round) {
     for (int i = 0; i < kBurst; ++i) {

@@ -3,6 +3,8 @@
 // handler stays busy too long, and survive handler CLOSE/OPEN.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/network.h"
 #include "sodal/sodal.h"
 
@@ -72,7 +74,14 @@ TEST(Pipelined, HeldRequestDeliveredAtEndhandler) {
   EXPECT_EQ(srv.arrivals, 2);
   EXPECT_EQ(c.completed, 2);
   // The held delivery happened without the requester retransmitting.
-  EXPECT_EQ(net.sim().trace().count(sim::TraceCategory::kRetransmit, 1), 0u);
+  const auto& events = net.sim().trace().events();
+  EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                          [](const sim::TraceEvent& e) {
+                            return e.category ==
+                                       sim::TraceCategory::kRetransmit &&
+                                   e.node == 1;
+                          }),
+            0);
 }
 
 TEST(Pipelined, HoldTimesOutToBusyNack) {
@@ -82,7 +91,8 @@ TEST(Pipelined, HoldTimesOutToBusyNack) {
   auto& c = net.spawn<TwoShots>(NodeConfig{});
   net.run_for(60 * sim::kMillisecond);
   // The hold expired long ago; the requester has been BUSY-NACK paced.
-  EXPECT_GT(net.node(1).kernel().transport().busy_nacks_received(), 0u);
+  EXPECT_GT(net.sim().metrics().node(1).counter(stats::Counter::kBusyNacks),
+            0u);
   EXPECT_EQ(srv.arrivals, 1);
   srv.gate.notify_all();
   net.run_for(200 * sim::kMillisecond);

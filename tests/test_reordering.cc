@@ -56,9 +56,8 @@ TEST_P(ReorderSweep, ExactlyOnceInOrderUnderJitterAndLoss) {
   const auto [seed, jitter, loss] = GetParam();
   Network::Options o;
   o.seed = seed;
-  o.bus.delivery_jitter = jitter;
-  o.bus.loss_probability = loss;
   Network net(o);
+  net.bus().set_faults(net::UniformFaults{.loss = loss, .jitter = jitter});
   auto& srv = net.spawn<Seq>(NodeConfig{});
   auto& burst = net.spawn<Burst>(NodeConfig{}, 15);
   net.run_for(300 * sim::kSecond);
@@ -85,8 +84,8 @@ TEST(Reordering, CancelRacesSurviveJitter) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Network::Options o;
     o.seed = seed;
-    o.bus.delivery_jitter = 30'000;
     Network net(o);
+    net.bus().set_faults(net::UniformFaults{.jitter = 30'000});
     class Holder : public SodalClient {
      public:
       sim::Task on_boot(Mid) override {

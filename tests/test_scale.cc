@@ -2,8 +2,9 @@
 // exactly once within bounded simulated time under loss; every contention
 // and name-storm op ends in exactly one terminal state and no contention
 // client starves; runs are bit-deterministic; the NIC pattern filter
-// shields a DISCOVER storm; and the bus-level corrupt/interest filters
-// behave per-(frame, receiver) deterministically.
+// shields a DISCOVER storm; the bus fault hook and interest filter behave
+// per-(frame, receiver) deterministically; and chaos::link_faults draws in
+// the order the pinned hashes depend on.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -191,9 +192,9 @@ TEST(ScaleSweep, Scale32HoldsInvariantsAcross200Seeds) {
               : sweep.failures.front().violations.front().invariant);
 }
 
-// --- bus filter semantics the chaos engine relies on ---
+// --- bus fault-hook and filter semantics the chaos engine relies on ---
 
-TEST(BusCorruptFilter, IsPerFrameReceiverDeterministic) {
+TEST(BusFaultHook, IsPerFrameReceiverDeterministic) {
   sim::Simulator sim(5);
   net::Bus bus(sim, net::BusConfig{});
 
@@ -204,11 +205,13 @@ TEST(BusCorruptFilter, IsPerFrameReceiverDeterministic) {
     });
   }
 
-  std::vector<net::Mid> asked;  // every (frame, receiver) corruption decision
-  bus.set_corrupt_filter([&asked](const net::Frame&, net::Mid dst) {
-    asked.push_back(dst);
-    return dst == 2;  // only station 2's copy is CRC-damaged
-  });
+  std::vector<net::Mid> asked;  // every (frame, receiver) fate decision
+  bus.set_faults(
+      [&asked](const net::Frame&, net::Mid dst, sim::Time, sim::Rng&) {
+        asked.push_back(dst);
+        // Only station 2's copy is CRC-damaged.
+        return net::Fate{.damage = dst == 2};
+      });
 
   net::Frame f;
   f.src = 1;
@@ -216,7 +219,7 @@ TEST(BusCorruptFilter, IsPerFrameReceiverDeterministic) {
   bus.send(f);
   sim.run();
 
-  // The filter was consulted exactly once per receiver (sender excluded),
+  // The hook was consulted exactly once per receiver (sender excluded),
   // and exactly the receiver it singled out lost its copy.
   std::sort(asked.begin(), asked.end());
   EXPECT_EQ(asked, (std::vector<net::Mid>{2, 3}));
@@ -225,7 +228,7 @@ TEST(BusCorruptFilter, IsPerFrameReceiverDeterministic) {
   EXPECT_EQ(bus.frames_corrupted(), 1u);
 
   // Re-running the identical send yields the identical decision pattern:
-  // nothing about the filter path consumes bus RNG state.
+  // nothing about the hook path consumes bus RNG state.
   asked.clear();
   delivered.clear();
   bus.send(f);
@@ -235,6 +238,59 @@ TEST(BusCorruptFilter, IsPerFrameReceiverDeterministic) {
   EXPECT_EQ(asked, (std::vector<net::Mid>{2, 3}));
   EXPECT_EQ(delivered, (std::vector<net::Mid>{3}));
   EXPECT_EQ(bus.frames_corrupted(), 2u);
+}
+
+// chaos::link_faults: each window honours its span, node/peer and segment,
+// and a delivery draws in a fixed order — partitions (no draw), loss,
+// corruption, delay, duplication, then the duplicate's zero lag.
+TEST(BusFaultHook, LinkFaultsCompileWindowsInDrawOrder) {
+  EXPECT_FALSE(chaos::link_faults(chaos::Scenario{}, 0));  // perfect medium
+
+  chaos::Scenario s;
+  s.lose(0.5, 100, 200, /*node=*/1)
+      .corrupt(0.5, 100, 200)
+      .delay_frames(40, 100, 200, -1, /*peer=*/2)
+      .duplicate(0.5, 100, 200)
+      .partition(0b0011, 300, 400)
+      .lose(1.0, 0, 0, -1, -1, /*segment=*/1);
+  const net::FaultHook hook = chaos::link_faults(s, 0);
+  ASSERT_TRUE(hook);
+  net::Frame f;
+  f.src = 1;
+  sim::Rng rng(9), ref(9);
+
+  // Outside every window nothing happens and nothing is drawn; the
+  // partition drops 1 -> 2 without a draw; segment 1's loss is not here.
+  EXPECT_EQ(hook(f, 2, 50, rng), net::Fate{});
+  EXPECT_EQ(hook(f, 2, 350, rng), net::Fate{.drop = true});
+  EXPECT_EQ(hook(f, 2, 250, rng), net::Fate{});
+  EXPECT_EQ(rng.next_u64(), ref.next_u64());
+
+  for (int i = 0; i < 100; ++i) {
+    net::Fate want;
+    want.drop = ref.chance(0.5);
+    if (!want.drop) {
+      want.damage = ref.chance(0.5);
+      want.delay = ref.next_range(0, 40);
+      want.duplicate = ref.chance(0.5);
+      if (want.duplicate) want.dup_lag = ref.next_range(0, 0);
+    }
+    ASSERT_EQ(hook(f, 2, 150, rng), want) << i;
+  }
+
+  // 3 -> 4 escapes the node-1 loss and the peer-2 delay windows.
+  f.src = 3;
+  for (int i = 0; i < 20; ++i) {
+    net::Fate want;
+    want.damage = ref.chance(0.5);
+    want.duplicate = ref.chance(0.5);
+    if (want.duplicate) want.dup_lag = ref.next_range(0, 0);
+    ASSERT_EQ(hook(f, 4, 150, rng), want) << i;
+  }
+  EXPECT_EQ(rng.next_u64(), ref.next_u64());
+
+  // Segment 1 adds its whole-run loss window.
+  EXPECT_TRUE(chaos::link_faults(s, 1)(f, 4, 250, rng).drop);
 }
 
 TEST(BusInterestFilter, SuppressesBroadcastsButNeverUnicast) {

@@ -1,8 +1,9 @@
 // Tests of the observability subsystem: the metrics registry (counters +
-// latency histograms), deterministic retransmit accounting via the bus
-// loss filter, and the JSONL round-trip for typed trace events.
+// latency histograms), deterministic retransmit accounting via a bus
+// fault hook, and the JSONL round-trip for typed trace events.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -143,15 +144,15 @@ TEST(StatsEndToEnd, ForcedLossYieldsExactRetransmitCount) {
   net.spawn<SignalServer>(NodeConfig{});
   auto& caller = net.spawn<SignalCaller>(NodeConfig{});
 
-  // Drop the first two deliveries of the caller's REQUEST frame. The loss
-  // filter replaces the random draw, so exactly two retransmissions occur.
+  // Drop the first two deliveries of the caller's REQUEST frame. The hook
+  // draws nothing, so exactly two retransmissions occur.
   int drops = 0;
-  net.bus().set_loss_filter([&drops](const net::Frame& f, net::Mid) {
-    if (f.request && f.src == 1 && drops < 2) {
-      ++drops;
-      return true;
-    }
-    return false;
+  net.bus().set_faults([&drops](const net::Frame& f, net::Mid, sim::Time,
+                                sim::Rng&) {
+    net::Fate fate;
+    fate.drop = f.request && f.src == 1 && drops < 2;
+    if (fate.drop) ++drops;
+    return fate;
   });
 
   net.run_for(5 * sim::kSecond);
@@ -168,8 +169,15 @@ TEST(StatsEndToEnd, ForcedLossYieldsExactRetransmitCount) {
   EXPECT_EQ(hub.node(1).counter(Counter::kRequestsCompleted), 1u);
   EXPECT_EQ(hub.node(0).counter(Counter::kAcceptsCompleted), 1u);
 
-  // The trace agrees with the registry, via the O(1) counts.
-  EXPECT_EQ(net.sim().trace().count(sim::TraceCategory::kRetransmit, 1), 2u);
+  // The trace agrees with the registry.
+  const auto& events = net.sim().trace().events();
+  EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                          [](const sim::TraceEvent& e) {
+                            return e.category ==
+                                       sim::TraceCategory::kRetransmit &&
+                                   e.node == 1;
+                          }),
+            2);
 
   // Both latency histograms collected samples deterministically: one
   // request completion on the caller, one accept completion on the server.

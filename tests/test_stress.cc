@@ -135,8 +135,8 @@ struct Tally {
 Tally run_chaos(std::uint64_t seed, double loss, bool with_crash) {
   Network::Options o;
   o.seed = seed;
-  o.bus.loss_probability = loss;
   Network net(o);
+  net.bus().set_faults(net::UniformFaults{.loss = loss});
   std::vector<ChaosServer*> servers;
   for (int i = 0; i < 2; ++i) {
     servers.push_back(&net.spawn<ChaosServer>(NodeConfig{}, seed + 7 + i));
@@ -206,8 +206,8 @@ TEST(Stress, ServerRebootChurnUnderLoad) {
   // succeed against whichever incarnation is up.
   Network::Options o;
   o.seed = 99;
-  o.bus.loss_probability = 0.05;
   Network net(o);
+  net.bus().set_faults(net::UniformFaults{.loss = 0.05});
   net.spawn<ChaosServer>(NodeConfig{}, 7);   // node 0: churns
   net.spawn<ChaosServer>(NodeConfig{}, 8);   // node 1: stable
   std::vector<ChaosClient*> clients;

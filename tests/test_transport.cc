@@ -10,12 +10,14 @@
 #include "net/bus.h"
 #include "proto/transport.h"
 #include "sim/simulator.h"
+#include "stats/metrics.h"
 
 namespace soda::proto {
 namespace {
 
 using net::Frame;
 using net::Mid;
+using stats::Counter;
 
 /// A minimal stand-in for the kernel on top of one Transport.
 struct StubKernel {
@@ -31,6 +33,14 @@ struct StubKernel {
   std::vector<Frame> delivered;
   std::vector<Frame> acked;
   std::vector<std::pair<Frame, net::NackReason>> failed;
+
+  std::uint64_t counter(Counter c) const {
+    return sim->metrics().node(tp->mid()).counter(c);
+  }
+  /// Every NACK aimed at one of this node's frames, BUSY or error.
+  std::uint64_t nacks_received() const {
+    return counter(Counter::kBusyNacks) + counter(Counter::kErrorNacks);
+  }
 
   void init(sim::Simulator& s, net::Bus& b, Mid mid,
             const TimingModel& timing) {
@@ -122,7 +132,7 @@ TEST_F(TransportTest, UrgentFrameJumpsQueue) {
 }
 
 TEST_F(TransportTest, RetransmitsThroughLoss) {
-  bus->set_loss_probability(0.3);
+  bus->set_faults(net::UniformFaults{.loss = 0.3});
   for (net::Tid t = 1; t <= 10; ++t) {
     a.tp->send_sequenced(2, request_frame(t));
   }
@@ -133,12 +143,12 @@ TEST_F(TransportTest, RetransmitsThroughLoss) {
   for (std::size_t i = 0; i < b.delivered.size(); ++i) {
     EXPECT_EQ(b.delivered[i].request->tid, static_cast<net::Tid>(i + 1));
   }
-  EXPECT_GT(a.tp->retransmit_count(), 0u);
+  EXPECT_GT(a.counter(Counter::kRetransmits), 0u);
   EXPECT_EQ(a.failed.size(), 0u);
 }
 
 TEST_F(TransportTest, SilentPeerDeclaredCrashed) {
-  bus->set_loss_probability(1.0);
+  bus->set_faults(net::UniformFaults{.loss = 1.0});
   a.tp->send_sequenced(2, request_frame(1));
   sim->run_until(60 * sim::kSecond);
   ASSERT_EQ(a.failed.size(), 1u);
@@ -151,7 +161,7 @@ TEST_F(TransportTest, BusyNackCausesPacedRetry) {
   a.tp->send_sequenced(2, request_frame(1));
   sim->run_until(100 * sim::kMillisecond);
   EXPECT_EQ(b.delivered.size(), 0u);
-  EXPECT_GT(a.tp->busy_nacks_received(), 2u);  // kept retrying
+  EXPECT_GT(a.nacks_received(), 2u);  // kept retrying
   b.next_disposition = Disposition::kDeliver;
   sim->run_until(sim->now() + sim::kSecond);
   ASSERT_EQ(b.delivered.size(), 1u);  // eventually landed
@@ -255,7 +265,7 @@ TEST_F(TransportTest, BusyBudgetExhaustionFailsExactlyOnceWithTimedOut) {
   ASSERT_EQ(c.failed.size(), 1u);  // exactly one terminal report
   EXPECT_EQ(c.failed[0].first.request->tid, 1);
   EXPECT_EQ(c.failed[0].second, net::NackReason::kTimedOut);
-  EXPECT_EQ(c.tp->busy_give_ups(), 1u);
+  EXPECT_EQ(c.counter(Counter::kBusyBudgetExhausted), 1u);
   EXPECT_EQ(d.delivered.size(), 0u);
   // The record advanced past the abandoned frame: traffic still flows.
   d.next_disposition = Disposition::kDeliver;
@@ -295,7 +305,6 @@ TEST_F(TransportTest, ErrorNackFailsFrame) {
 }
 
 TEST_F(TransportTest, DuplicateSuppressedAndReanswered) {
-  bus->set_loss_probability(0.0);
   a.tp->send_sequenced(2, request_frame(1));
   sim->run_until(20 * sim::kMillisecond);
   ASSERT_EQ(b.delivered.size(), 1u);
@@ -329,7 +338,7 @@ TEST_F(TransportTest, RejectHeldSendsBusy) {
   b.tp->reject_held(b.held.front());
   b.held.clear();
   sim->run_until(sim->now() + 20 * sim::kMillisecond);
-  EXPECT_GT(a.tp->busy_nacks_received(), 0u);
+  EXPECT_GT(a.nacks_received(), 0u);
 }
 
 TEST_F(TransportTest, ConnectionRecordExpiresAfterSilence) {
@@ -399,9 +408,8 @@ class TransportLossSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(TransportLossSweep, ExactlyOnceInOrder) {
   sim::Simulator s(123);
-  net::BusConfig cfg;
-  cfg.loss_probability = GetParam();
-  net::Bus bus(s, cfg);
+  net::Bus bus(s, net::BusConfig{});
+  bus.set_faults(net::UniformFaults{.loss = GetParam()});
   TimingModel timing;
   StubKernel a, b;
   a.init(s, bus, 1, timing);

@@ -138,7 +138,7 @@ TEST(Udp, SurvivesInjectedDatagramLoss) {
   } catch (const std::runtime_error&) {
     GTEST_SKIP() << "UDP sockets unavailable";
   }
-  net->bus().set_drop_probability(0.2);
+  net->bus().set_faults(net::UniformFaults{.loss = 0.2});
   auto& caller = net->spawn<Caller>(NodeConfig{}, 5);
   const bool finished = net->run_until([&] { return caller.done; },
                                        std::chrono::milliseconds(20000));

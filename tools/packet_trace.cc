@@ -107,9 +107,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  Network::Options nopts;
-  nopts.bus.loss_probability = o.loss;
-  Network net(nopts);
+  Network net;
+  net.bus().set_faults(net::UniformFaults{.loss = o.loss});
   net.sim().trace().enable_all();
 
   NodeConfig cfg;

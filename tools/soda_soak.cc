@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   chaos::InvariantSet invariants = chaos::InvariantSet::standard();
   sim.trace().set_observer(
       [&](const sim::TraceEvent& e) { invariants.on_event(e); });
-  net.bus().set_drop_probability(o.drop);
+  net.bus().set_faults(net::UniformFaults{.loss = o.drop});
 
   std::vector<chaos::EchoServer*> servers;
   std::vector<chaos::LoadClient*> clients;
